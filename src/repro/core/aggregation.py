@@ -174,14 +174,19 @@ def tree_aggregate(rdd: RDD, zero: Any, seq_op: Callable[[Any, Any], Any],
             SpawnRDD.cleanup_holders(sc, holders)
         return result
 
+    scope = sc.job_scope()
+    job_mark = len(scope.job_ids) if scope is not None else 0
     partial = _partial_aggregate_rdd(rdd, zero, seq_op)
     result = _tree_reduce_phase(sc, partial, comb_op, depth)
-    # Decompose: the first new stage materialized the partials (compute);
-    # everything after it is reduction (paper §2.3 methodology). The first
-    # new stage always closed inside _tree_reduce_phase, so its duration
-    # is a real number here.
-    new_stages = sc.dag.stage_log[log_mark:]
-    compute = new_stages[0].duration if new_stages else 0.0
+    # Decompose: this call's first stage materialized the partials
+    # (compute); everything after it is reduction (paper §2.3
+    # methodology). Under a service job scope other jobs' stages interleave
+    # in the log, possibly still open, so only this scope's new jobs count.
+    # This call's first stage closed inside _tree_reduce_phase, so its
+    # duration is a real number here.
+    own = set(scope.job_ids[job_mark:]) if scope is not None else None
+    compute = next((stage.duration for stage in sc.dag.stage_log[log_mark:]
+                    if own is None or stage.job_id in own), 0.0)
     total = sc.now - began
     sc.stopwatch.add("agg.compute", min(compute, total))
     sc.stopwatch.add("agg.reduce", max(total - compute, 0.0))

@@ -24,9 +24,16 @@ one operation the four SAI callbacks cannot express when ``U != V``; pass
 derives the merge from ``splitOp``/``reduceOp`` on the whole-object
 segment.
 
-Fault tolerance: with a :class:`~repro.faults.RecoveryPolicy` in effect
-(via an armed :class:`~repro.faults.FaultController` or the ``recovery``
-argument), the reduce step becomes a detect/recompute/rebuild loop:
+One call, one recovery policy. :class:`_AggregationRun` holds the call's
+state and runs it on one of two schedules: **phased** (the reduced-result
+stage finishes, then the collective runs over its holders) or
+**streamed** (``collective="pipelined_ring"``: the ring is built from the
+predicted placement before the stage starts, and each executor streams
+its aggregator the moment its last partition merges).
+
+With a :class:`~repro.faults.RecoveryPolicy` in effect (via an armed
+:class:`~repro.faults.FaultController` or ``spec.recovery``) the phased
+reduce is a detect/recompute/rebuild loop:
 
 1. **detect** — ring recvs carry a failure-detection timeout and every
    holding executor gets a death listener that aborts the collective the
@@ -39,20 +46,21 @@ argument), the reduce step becomes a detect/recompute/rebuild loop:
    to ``max_ring_attempts`` times, after which the aggregation falls back
    to ``treeAggregate`` over the same lineage.
 
-The overlapped ``pipelined_ring`` collective runs the same loop through
-:func:`_ft_pipelined_aggregate`: the stream itself is armored (recv
-deadlines, death listeners, a per-chunk delivery ledger) and a mid-stream
-fault downgrades to the phased loop above, where rebuilds replay only the
-chunk columns the ledger has not acknowledged.
+The stream is armored the same way plus a per-chunk delivery ledger; a
+mid-stream fault downgrades it to the phased loop, where rebuilds replay
+only the chunk columns the ledger has not acknowledged.
 
-With no policy in effect the code path is the pre-fault-tolerance one,
-statement for statement — an unfaulted run is bit-identical.
+"No recovery" is the degenerate policy of the same code: no recv
+timeout, no death listeners, no ledger, no fault controller on the
+communicator, and one reduce attempt whose exception propagates
+unchanged — an unfaulted run schedules exactly the seed's events.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..comm.ring import ChunkLedger, ScalableCommunicator
 from ..obs import CollectiveChosen, CollectiveCompleted, CollectiveCostEstimate, CollectiveDowngraded, RecoveryAction, ResidualNorm
@@ -101,7 +109,7 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
 
     With no recovery policy in the spec one is taken from the context's
     armed fault controller (``sc.faults``); when neither exists the
-    aggregation runs the original, recovery-free path.
+    aggregation runs under the degenerate no-recovery policy.
     """
     if isinstance(spec, int):
         # the pre-spec signature's 7th positional argument
@@ -123,7 +131,7 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
         return concat_op([split_op(z, i, spec.parallelism)
                           for i in range(spec.parallelism)])
 
-    controller = getattr(sc, "faults", None)
+    controller = sc.faults
     recovery = spec.recovery
     if recovery is None and controller is not None:
         recovery = controller.recovery
@@ -135,79 +143,19 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
             "them, so a recovered ring would silently lose compensation "
             "state. Disable compression or the recovery policy.")
 
-    # ---- stage 1: reduced-result stage with in-memory merge ---------------
-    def partial_func(_idx: int, data: list, ctx: TaskContext) -> Any:
-        acc = fresh_zero(zero)
-        # Opt-in whole-partition fold (e.g. the batched CSR gradient
-        # kernel): the seqOp object declares it and stays responsible for
-        # charging the same virtual time the per-element loop would.
-        folder = getattr(seq_op, "fold_partition", None)
-        if folder is not None:
-            return folder(acc, data, ctx)
-        for x in data:
-            ctx.charge(cost_of(seq_op, acc, x) + ELEMENT_OVERHEAD)
-            acc = seq_op(acc, x)
-        return acc
+    run = _AggregationRun(rdd, spec, zero, seq_op, split_op, reduce_op,
+                          concat_op, merge_op, recovery)
+    # A controller armed without a recovery policy injects faults the
+    # stream could not survive; such runs take the phased schedule.
+    if spec.collective == "pipelined_ring" and (recovery is not None
+                                                or controller is None):
+        return run.streamed()
+    return run.phased()
 
-    if spec.collective == "pipelined_ring":
-        # The overlapped path: stream each executor's finished aggregator
-        # into the ring while other partitions are still folding.
-        if recovery is None and controller is None:
-            return _pipelined_aggregate(sc, rdd, partial_func, merge_op,
-                                        spec, split_op, reduce_op, concat_op)
-        if recovery is not None:
-            # With a recovery policy the stream runs under full fault
-            # tolerance: per-chunk delivery fencing lets a rebuilt ring
-            # replay only the unacknowledged columns, and an unsalvageable
-            # topology downgrades to the phased loop below.
-            return _ft_pipelined_aggregate(sc, rdd, partial_func, merge_op,
-                                           spec, zero, seq_op, split_op,
-                                           reduce_op, concat_op, recovery,
-                                           controller)
-        # A controller without a recovery policy injects faults the
-        # stream could not survive; run the phased path below instead.
 
-    if recovery is None:
-        with sc.stopwatch.span("agg.compute"):
-            holders = sc.run_reduced_job(rdd, partial_func, merge_op)
-        with sc.stopwatch.span("agg.reduce"):
-            if spec.compression != "none":
-                # Sparsify before pricing: the tuner and the ring both see
-                # the compressed wire sizes.
-                _compress_holders(sc, spec, holders)
-            decision = _choose_collective(sc, spec, holders)
-            cid, algorithm, chosen_p, predicted, model = decision
-            began = sc.now
-            result = _reduce_once(sc, holders, chosen_p,
-                                  spec.topology_aware, split_op, reduce_op,
-                                  concat_op, algorithm=algorithm,
-                                  chunk_bytes=spec.chunk_bytes,
-                                  span_id=sc.event_bus.tracer
-                                  .collective_span(cid))
-            _finish_collective(sc, model, cid, algorithm, chosen_p,
-                               predicted, began)
-        return result
-
-    # ---- fault-tolerant path ----------------------------------------------
-    with sc.stopwatch.span("agg.compute"):
-        holders, contributions = sc.run_reduced_job(
-            rdd, partial_func, merge_op, detail=True)
-    with sc.stopwatch.span("agg.reduce"):
-        decision = _choose_collective(sc, spec, holders)
-        cid, algorithm, chosen_p, predicted, model = decision
-        began = sc.now
-        result = _ft_reduce(sc, rdd, partial_func, holders, contributions,
-                            zero, seq_op, merge_op, chosen_p,
-                            spec.topology_aware, split_op, reduce_op,
-                            concat_op, recovery, controller,
-                            algorithm=algorithm,
-                            chunk_bytes=spec.chunk_bytes,
-                            span_id=sc.event_bus.tracer
-                            .collective_span(cid))
-        _finish_collective(sc, model, cid, algorithm, chosen_p,
-                           predicted, began)
-    return result
-
+# ---------------------------------------------------------------------------
+# Collective bookkeeping shared by both schedules
+# ---------------------------------------------------------------------------
 
 def _holder_value_bytes(sc: Any, holders: Holders) -> float:
     """Mean wire size of the holders' in-memory aggregators.
@@ -221,6 +169,29 @@ def _holder_value_bytes(sc: Any, holders: Holders) -> float:
         value = sc.executor_by_id(executor_id).object_manager.get(obj)
         total += sim_sizeof(value)
     return total / len(holders)
+
+
+def _slots_for(sc: Any, executor_ids: Iterable[int]) -> list:
+    slot_by_id = {slot.executor_id: slot
+                  for slot in sc.cluster.executors}
+    return [slot_by_id[executor_id] for executor_id in executor_ids]
+
+
+def _emit_chosen(sc: Any, cid: int, holders: Holders, algorithm: str,
+                 parallelism: int, span_id: int, *, source: str = "spec",
+                 predicted: float = 0.0) -> None:
+    """Emit the :class:`CollectiveChosen` record of a collective over
+    ``holders`` (the caller has checked that the bus is active)."""
+    slots = _slots_for(sc, (executor_id for executor_id, _ in holders))
+    value_bytes = _holder_value_bytes(sc, holders)
+    bus = sc.event_bus
+    bus.emit(CollectiveChosen(
+        time=sc.now, collective_id=cid, algorithm=algorithm,
+        parallelism=parallelism, source=source, ranks=len(slots),
+        hosts=len({s.hostname for s in slots}), value_bytes=value_bytes,
+        segment_bytes=value_bytes / (len(slots) * parallelism),
+        predicted=predicted,
+        span_id=span_id, parent_span_id=bus.tracer.current_parent))
 
 
 def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders
@@ -237,28 +208,17 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders
     The decision itself is driver-side Python: it schedules no simulation
     events, so a pinned-ring run remains bit-identical to the seed.
     """
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
+    cid = sc.new_collective_id()
     bus = sc.event_bus
     if spec.collective != "auto":
         if bus.active:
-            tracer = bus.tracer
-            cspan = tracer.open_collective(cid)
-            slots = _slots_for(sc, holders)
-            value_bytes = _holder_value_bytes(sc, holders)
-            num = len(slots) * spec.parallelism
-            bus.emit(CollectiveChosen(
-                time=sc.now, collective_id=cid, algorithm=spec.collective,
-                parallelism=spec.parallelism, source="spec",
-                ranks=len(slots), hosts=len({s.hostname for s in slots}),
-                value_bytes=value_bytes,
-                segment_bytes=value_bytes / num,
-                span_id=cspan, parent_span_id=tracer.current_parent))
+            _emit_chosen(sc, cid, holders, spec.collective, spec.parallelism,
+                         bus.tracer.open_collective(cid))
         return cid, spec.collective, spec.parallelism, 0.0, None
 
     from ..comm.cost import choose_collective, cost_model_for
     model = cost_model_for(sc)
-    slots = _slots_for(sc, holders)
+    slots = _slots_for(sc, (executor_id for executor_id, _ in holders))
     value_bytes = _holder_value_bytes(sc, holders)
     algorithms = ["ring", "pipelined_ring", "hd"]
     if spec.topology_aware:
@@ -283,13 +243,8 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders
                 parallelism=plan.parallelism, predicted=est,
                 chosen=plan is winner,
                 span_id=tracer.new_span(), parent_span_id=cspan))
-        bus.emit(CollectiveChosen(
-            time=sc.now, collective_id=cid, algorithm=winner.algorithm,
-            parallelism=winner.parallelism, source="auto",
-            ranks=winner.ranks, hosts=winner.num_hosts,
-            value_bytes=value_bytes, segment_bytes=winner.segment_bytes,
-            predicted=predicted,
-            span_id=cspan, parent_span_id=tracer.current_parent))
+        _emit_chosen(sc, cid, holders, winner.algorithm, winner.parallelism,
+                     cspan, source="auto", predicted=predicted)
     return cid, winner.algorithm, winner.parallelism, predicted, model
 
 
@@ -308,258 +263,96 @@ def _finish_collective(sc: Any, model: Any, cid: int, algorithm: str,
             span_id=sc.event_bus.tracer.close_collective(cid)))
 
 
+def _communicator(sc: Any, executor_ids: Iterable[int], parallelism: int,
+                  topology_aware: bool, recovery: Any, chunk_bytes: float,
+                  span_id: int) -> ScalableCommunicator:
+    """A communicator over ``executor_ids``, armored by ``recovery``: the
+    fault controller on its fabric and the policy's recv deadline (both
+    absent under the degenerate no-recovery policy)."""
+    armored = recovery is not None
+    comm = ScalableCommunicator(
+        sc.cluster, parallelism=parallelism, topology_aware=topology_aware,
+        slots=_slots_for(sc, executor_ids), bus=sc.event_bus,
+        faults=sc.faults if armored else None,
+        recv_timeout=recovery.recv_timeout if armored else None)
+    comm.set_span(span_id)
+    # only algorithm="pipelined_ring" reads the chunk size
+    comm.chunk_bytes = chunk_bytes
+    return comm
+
+
+@contextmanager
+def _death_watch(sc: Any, executor_ids: Iterable[int],
+                 on_death: Optional[Callable[[Any], None]]) -> Iterator[None]:
+    """Call ``on_death`` the instant any listed executor dies, for the
+    duration of the block (nothing is installed when it is None)."""
+    watched = ([sc.executor_by_id(eid) for eid in executor_ids]
+               if on_death is not None else [])
+    for executor in watched:
+        executor.add_death_listener(on_death)
+    try:
+        yield
+    finally:
+        for executor in watched:
+            executor.remove_death_listener(on_death)
+
+
 def _reduce_once(sc: Any, holders: Holders, parallelism: int,
                  topology_aware: bool, split_op: SplitOp,
                  reduce_op: ReduceOp, concat_op: ConcatOp, *,
-                 algorithm: str = "ring",
-                 faults: Any = None,
-                 recv_timeout: Optional[float] = None,
-                 watch_deaths: bool = False,
-                 chunk_bytes: Optional[float] = None,
+                 algorithm: str, recovery: Any, chunk_bytes: float,
                  ledger: Optional[ChunkLedger] = None,
                  span_id: int = -1) -> Any:
     """One SpawnRDD + reduce-scatter + gather pass over ``holders``.
 
-    The default arguments make this exactly the original reduce step;
     ``algorithm`` dispatches the reduce-scatter strategy by registry name
-    (:mod:`repro.comm.collectives` — every strategy is bit-identical);
-    ``watch_deaths`` additionally aborts the collective (interrupting all
-    of its processes) the instant any holding executor dies, so a
-    mid-collective crash surfaces immediately instead of via timeout.
+    (:mod:`repro.comm.collectives` — every strategy is bit-identical).
+    ``recovery`` arms the pass: ring recvs carry its failure-detection
+    deadline, the fault controller sees the fabric, and a death listener
+    aborts the collective (interrupting all of its processes) the instant
+    any holding executor dies, so a mid-collective crash surfaces
+    immediately instead of via timeout. With ``recovery`` None this is
+    exactly the original reduce step.
 
-    ``chunk_bytes`` sets the target chunk size on the communicator; only
-    ``algorithm="pipelined_ring"`` reads it (chunk-level wire/merge
-    overlap with every aggregator already in hand — the degraded mode the
-    tuner prices, and the rebuild mode under fault tolerance).
-
-    ``ledger`` threads a bound :class:`~repro.comm.ring.ChunkLedger`
-    onto the communicator so a pipelined rebuild replays acknowledged
-    chunk columns from their recorded reductions instead of the wire.
+    ``chunk_bytes`` is read only by ``algorithm="pipelined_ring"``
+    (chunk-level wire/merge overlap with every aggregator in hand — the
+    mode the tuner prices, and the rebuild mode of a streamed downgrade),
+    whose bound ``ledger`` replays acknowledged chunk columns from their
+    recorded reductions instead of the wire.
     """
-    comm = ScalableCommunicator(sc.cluster, parallelism=parallelism,
-                                topology_aware=topology_aware,
-                                slots=_slots_for(sc, holders),
-                                bus=sc.event_bus, faults=faults,
-                                recv_timeout=recv_timeout)
-    comm.set_span(span_id)
-    if chunk_bytes is not None:
-        comm.chunk_bytes = chunk_bytes
-    if ledger is not None:
-        comm.ledger = ledger
+    holder_ids = [executor_id for executor_id, _ in holders]
+    comm = _communicator(sc, holder_ids, parallelism, topology_aware,
+                         recovery, chunk_bytes, span_id)
+    comm.ledger = ledger
     spawned = SpawnRDD.from_holders(sc, holders)
     # The SpawnRDD launch validates static placement and reads each
     # executor's aggregator; its (cheap) results stay executor-side —
     # the ring operates on the very same in-memory objects.
     object_by_executor = dict(holders)
-    values = []
-    for slot in comm.ranked:
-        executor = sc.executor_by_id(slot.executor_id)
-        value = executor.object_manager.get(
-            object_by_executor[slot.executor_id])
-        values.append(value)
-    spawn_results = sc.run_job(
-        spawned, lambda _i, data, _ctx: len(data))
+    values = [sc.executor_by_id(slot.executor_id).object_manager.get(
+        object_by_executor[slot.executor_id]) for slot in comm.ranked]
+    spawn_results = sc.run_job(spawned, lambda _i, data, _ctx: len(data))
     if len(spawn_results) != len(holders):  # pragma: no cover
         raise RuntimeError("SpawnRDD lost partitions")
 
-    watched = []
-    if watch_deaths:
-        def on_death(executor: Any) -> None:
-            comm.abort(f"executor {executor.executor_id} died "
-                       f"mid-collective")
-        for executor_id, _ in holders:
-            executor = sc.executor_by_id(executor_id)
-            executor.add_death_listener(on_death)
-            watched.append(executor)
-    try:
-        proc = sc.env.process(comm.reduce_scatter_gather(
-            values, split_op, reduce_op, concat_op, algorithm=algorithm))
-        result = sc.env.run(until=proc)
-    except BaseException:
-        if watch_deaths:
-            # Kill any surviving ranks of the failed collective: zombies
-            # would keep exchanging segments and burn NIC bandwidth under
-            # the rebuilt ring.
-            comm.abort("collective failed")
-        raise
-    finally:
-        for executor in watched:
-            executor.remove_death_listener(on_death)
+    def on_death(executor: Any) -> None:
+        comm.abort(f"executor {executor.executor_id} died mid-collective")
 
-    SpawnRDD.cleanup_holders(sc, holders)
-    return result
-
-
-def _slots_for(sc: Any, holders: Holders) -> list:
-    slot_by_id = {slot.executor_id: slot
-                  for slot in sc.cluster.executors}
-    return [slot_by_id[executor_id] for executor_id, _ in holders]
-
-
-def _ft_reduce(sc: Any, rdd: RDD, partial_func: Callable, holders: Holders,
-               contributions: dict, zero: Any, seq_op: SeqOp,
-               merge_op: MergeOp, parallelism: int, topology_aware: bool,
-               split_op: SplitOp, reduce_op: ReduceOp, concat_op: ConcatOp,
-               recovery: Any, controller: Any, *,
-               algorithm: str = "ring",
-               chunk_bytes: Optional[float] = None,
-               ledger: Optional[ChunkLedger] = None,
-               span_id: int = -1) -> Any:
-    """The detect / recompute / rebuild loop of the fault-tolerant path.
-
-    The loop is algorithm-agnostic: every registered collective surfaces
-    a lost peer as :class:`~repro.rdd.executor.ExecutorLost` (recv
-    deadline) or an abort interrupt (death listener), the rebuild
-    re-ranks the survivors, and the recomputed partials absorb under the
-    same epoch fence regardless of message topology. Rebuilds keep the
-    chosen ``algorithm`` — a shrunken ring is re-priced only on the next
-    aggregation, keeping recovery on the well-trodden path.
-
-    ``ledger`` (pipelined only) carries per-chunk completion records
-    across attempts. Before each ring pass it is re-bound to a key of
-    the exact holder set, parallelism and aggregation epoch: a retry
-    over unchanged holders (link faults) salvages every acknowledged
-    chunk column, while a crash — which changes the holder set or, via
-    recompute, the epoch — clears the records, because the recomputed
-    aggregators invalidate every prior partial reduction.
-    """
-    agg_job = holders[0][1][0]  # stage 1's job id, for recovery events
-    attempts = 0
-    epoch = 0
-    first_detect: Optional[float] = None
-    #: span of the recovery epoch (first detection -> recovered); every
-    #: recovery action and recompute job parents to it. Opened lazily so
-    #: a fault-free run allocates nothing.
-    epoch_span = -1
-
-    def emit(action: str, **kw: Any) -> None:
-        nonlocal epoch_span
-        if sc.event_bus.active:
-            tracer = sc.event_bus.tracer
-            if epoch_span < 0:
-                epoch_span = tracer.new_span()
-            if action == "recovered":
-                # The epoch span closes on its own id, like JobEnd does.
-                kw.setdefault("span_id", epoch_span)
-                kw.setdefault("parent_span_id", span_id)
-            else:
-                kw.setdefault("span_id", tracer.new_span())
-                kw.setdefault("parent_span_id", epoch_span)
-        event = RecoveryAction(time=sc.now, action=action, job_id=agg_job,
-                               **kw)
-        if controller is not None:
-            controller.actions.append(event)
-        if sc.event_bus.active:
-            sc.event_bus.emit(event)
-
-    while attempts < recovery.max_ring_attempts:
-        lost = [(eid, obj) for eid, obj in holders
-                if not sc.executor_by_id(eid).alive]
-        if lost:
-            if first_detect is None:
-                first_detect = sc.now
-            live = [(eid, obj) for eid, obj in holders
-                    if sc.executor_by_id(eid).alive]
-            lost_parts = sorted(
-                p for eid, _ in lost for p in contributions.get(eid, ()))
-            for eid, _ in lost:
-                emit("partial_recompute", executor_id=eid, attempt=attempts,
-                     ranks=len(live),
-                     detail=f"partitions {lost_parts} via lineage")
-                contributions.pop(eid, None)
-            # Lineage recompute: re-run the reduced-result stage over only
-            # the dead holders' partitions. The scheduler places them on
-            # surviving executors (and survives further losses itself).
-            tracer = sc.event_bus.tracer
-            tracer.push_parent(epoch_span)
-            try:
-                new_holders, new_contribs = sc.run_reduced_job(
-                    rdd, partial_func, merge_op, partitions=lost_parts,
-                    detail=True)
-            finally:
-                tracer.pop_parent()
-            # Fence the surviving aggregators at a fresh epoch so any
-            # zombie merge from the original stage raises StaleMergeError,
-            # then absorb the recomputed partials.
-            epoch += 1
-            live_by_id = dict(live)
-            for eid, obj in live:
-                sc.executor_by_id(eid).object_manager.fence(obj, epoch)
-            for eid, temp_obj in new_holders:
-                executor = sc.executor_by_id(eid)
-                manager = executor.object_manager
-                temp_value = manager.get(temp_obj)
-                if eid in live_by_id:
-                    # The recomputed partial lands on an executor that
-                    # already holds an original: merge the two in memory.
-                    proc = sc.env.process(manager.absorb(
-                        live_by_id[eid], epoch, temp_value, merge_op))
-                    sc.env.run(until=proc)
-                    manager.clear(temp_obj)
-                    contributions[eid] = sorted(
-                        contributions.get(eid, []) + new_contribs[eid])
-                else:
-                    # A fresh holder joins the ring with the recomputed
-                    # partial as its aggregator.
-                    manager.fence(temp_obj, epoch)
-                    live.append((eid, temp_obj))
-                    live_by_id[eid] = temp_obj
-                    contributions[eid] = sorted(new_contribs[eid])
-            holders = live
-            # Re-check before ringing: a holder may have died during the
-            # recompute job itself.
-            continue
-        if ledger is not None:
-            ledger.bind((tuple(eid for eid, _ in holders), parallelism,
-                         epoch), size=len(holders))
+    with _death_watch(sc, holder_ids,
+                      on_death if recovery is not None else None):
         try:
-            result = _reduce_once(
-                sc, holders, parallelism, topology_aware, split_op,
-                reduce_op, concat_op, algorithm=algorithm,
-                faults=controller, recv_timeout=recovery.recv_timeout,
-                watch_deaths=True, chunk_bytes=chunk_bytes,
-                ledger=ledger, span_id=span_id)
-        except (JobFailed, SimulationError):
-            # Retry budgets below this loop are already exhausted (or the
-            # kernel itself broke): rebuilding the ring cannot help.
+            proc = sc.env.process(comm.reduce_scatter_gather(
+                values, split_op, reduce_op, concat_op, algorithm=algorithm))
+            result = sc.env.run(until=proc)
+        except BaseException:
+            if recovery is not None:
+                # Kill any surviving ranks of the failed collective:
+                # zombies would keep exchanging segments and burn NIC
+                # bandwidth under the rebuilt ring.
+                comm.abort("collective failed")
             raise
-        except Exception as exc:
-            # ExecutorLost (recv timeout or pinned-task failure), Interrupt
-            # (a death listener aborted the collective), StaleMergeError —
-            # all mean this ring attempt is dead; rebuild over survivors.
-            attempts += 1
-            emit("ring_abort", attempt=attempts, ranks=len(holders),
-                 detail=str(exc))
-            if first_detect is None:
-                first_detect = sc.now
-            if attempts < recovery.max_ring_attempts:
-                emit("ring_rebuild", attempt=attempts, ranks=len(holders))
-            continue
-        if first_detect is not None:
-            emit("recovered", seconds=sc.now - first_detect,
-                 attempt=attempts, ranks=len(holders))
-        return result
 
-    # ---- ring budget exhausted: fall back to the tree -------------------
-    emit("tree_fallback", site="tree", attempt=attempts)
-    if not recovery.tree_fallback:
-        SpawnRDD.cleanup_holders(sc, holders)
-        raise RuntimeError(
-            f"split aggregation failed {attempts} ring attempts and tree "
-            f"fallback is disabled")
     SpawnRDD.cleanup_holders(sc, holders)
-    tracer = sc.event_bus.tracer
-    tracer.push_parent(epoch_span)
-    try:
-        agg = tree_aggregate(rdd, zero, seq_op, merge_op,
-                             depth=recovery.tree_depth, imm=True)
-    finally:
-        tracer.pop_parent()
-    result = concat_op([split_op(agg, i, parallelism)
-                        for i in range(parallelism)])
-    if first_detect is not None:
-        emit("recovered", site="tree", seconds=sc.now - first_detect,
-             attempt=attempts)
     return result
 
 
@@ -620,40 +413,37 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     return comp, cost, stats
 
 
-def _compress_holders(sc: Any, spec: AggregationSpec, holders: Holders,
-                      parent_span: int = -1) -> None:
-    """Sparsify every holder in place (concurrently, blocking driver call).
+def _compress_holder(sc: Any, spec: AggregationSpec, executor_id: int,
+                     obj: Tuple[int, int], parent_span: int):
+    """Process body: sparsify one holder in place, charge the pass as
+    virtual time and emit its :class:`ResidualNorm` gauge."""
+    executor = sc.executor_by_id(executor_id)
+    value = executor.object_manager.get(obj)
+    comp, cost, stats = _topk_compress(spec, executor, value)
+    if cost > 0:
+        yield sc.env.timeout(cost)
+    executor.object_manager.replace(obj, comp)
+    bus = sc.event_bus
+    if bus.active:
+        bus.emit(ResidualNorm(
+            time=sc.now, executor_id=executor_id, job_id=obj[0],
+            error_feedback=spec.error_feedback,
+            span_id=bus.tracer.new_span(), parent_span_id=parent_span,
+            **stats))
 
-    Runs between the reduced-result stage and the collective on the
-    classic (non-pipelined) path; the pipelined path folds the same step
-    into each executor's cook process instead so it overlaps the stream.
-    """
+
+def _compress_holders(sc: Any, spec: AggregationSpec,
+                      holders: Holders) -> None:
+    """Sparsify every holder in place (concurrently, blocking driver call)
+    between the phased schedule's stage and collective; the streamed
+    schedule runs :func:`_compress_holder` in each executor's cook step."""
     env = sc.env
-
-    def one(executor_id: int, obj: Tuple[int, int]):
-        executor = sc.executor_by_id(executor_id)
-        value = executor.object_manager.get(obj)
-        comp, cost, stats = _topk_compress(spec, executor, value)
-        if cost > 0:
-            yield env.timeout(cost)
-        executor.object_manager.replace(obj, comp)
-        bus = sc.event_bus
-        if bus.active:
-            bus.emit(ResidualNorm(
-                time=sc.now, executor_id=executor_id, job_id=obj[0],
-                error_feedback=spec.error_feedback,
-                span_id=bus.tracer.new_span(),
-                parent_span_id=parent_span, **stats))
-
-    procs = [env.process(one(eid, obj), name=f"topk:{eid}")
+    procs = [env.process(_compress_holder(sc, spec, eid, obj, -1),
+                         name=f"topk:{eid}")
              for eid, obj in holders]
     for proc in procs:
         env.run(until=proc)
 
-
-# ---------------------------------------------------------------------------
-# The pipelined (overlapped) aggregation path
-# ---------------------------------------------------------------------------
 
 def _plan_placement(sc: Any, rdd: RDD, partitions: Sequence[int]) -> List[int]:
     """Predict, driver-side, which executor each partition will land on.
@@ -662,8 +452,8 @@ def _plan_placement(sc: Any, rdd: RDD, partitions: Sequence[int]) -> List[int]:
     set (including its skip of health-quarantined executors) — exact as
     long as no task fails. The plan lets the ring be built *before* the
     reduced-result stage finishes. If a fault makes the stage land
-    anywhere else, the fault-tolerant wrapper detects the deviation
-    after the fact and downgrades to the phased recovery loop.
+    anywhere else, the streamed driver detects the deviation after the
+    fact and downgrades to the phased reduce loop.
     """
     alive = [e for e in sc.executors if e.alive]
     if not alive:
@@ -691,171 +481,6 @@ def _plan_placement(sc: Any, rdd: RDD, partitions: Sequence[int]) -> List[int]:
         plan.append(chosen)
     return plan
 
-
-def _pipelined_aggregate(sc: Any, rdd: RDD, partial_func: Callable,
-                         merge_op: MergeOp, spec: AggregationSpec,
-                         split_op: SplitOp, reduce_op: ReduceOp,
-                         concat_op: ConcatOp) -> Any:
-    """Overlap the reduced-result stage with the ring reduce-scatter.
-
-    The classic path is strictly phased: *every* partition folds, then
-    the collective starts. Here the ring is constructed up front from the
-    predicted placement and each rank blocks on a per-executor readiness
-    event; the partition-completion hook (:class:`ReducedResultTask`'s
-    ``on_merged``) fires the event the instant the executor's last
-    partition merges, so early finishers stream their chunk columns while
-    stragglers are still folding. The merge order inside every ring is
-    fixed by topology, not by readiness timing — the result is
-    bit-identical to the classic ring.
-
-    With ``compression="topk"`` a per-executor *cook* step sparsifies the
-    aggregator between readiness and streaming, overlapping compression
-    with the other executors' compute as well.
-
-    If the stage lands partitions anywhere other than planned (impossible
-    without faults; defensive), the collective is aborted and — provided
-    nothing streamed yet — the reduction reruns on the classic path over
-    the actual holders.
-    """
-    env = sc.env
-    bus = sc.event_bus
-    partitions = list(range(rdd.num_partitions()))
-    plan = _plan_placement(sc, rdd, partitions)
-    expected: dict = {}
-    planned_order: List[int] = []
-    for executor_id in plan:
-        if executor_id not in expected:
-            planned_order.append(executor_id)
-            expected[executor_id] = 0
-        expected[executor_id] += 1
-
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
-    if bus.active:
-        bus.tracer.open_collective(cid)
-    span_id = bus.tracer.collective_span(cid)
-
-    slot_by_id = {slot.executor_id: slot for slot in sc.cluster.executors}
-    slots = [slot_by_id[executor_id] for executor_id in planned_order]
-    comm = ScalableCommunicator(sc.cluster, parallelism=spec.parallelism,
-                                topology_aware=spec.topology_aware,
-                                slots=slots, bus=bus)
-    comm.set_span(span_id)
-    comm.chunk_bytes = spec.chunk_bytes
-
-    counts: dict = {executor_id: 0 for executor_id in expected}
-    merged_objects: dict = {}
-    complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
-                for executor_id in planned_order}
-    streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
-                  for executor_id in planned_order}
-
-    def on_merged(executor_id: int, _partition: int,
-                  object_id: Tuple[int, int]) -> None:
-        merged_objects[executor_id] = object_id
-        counts[executor_id] = counts.get(executor_id, 0) + 1
-        if counts[executor_id] == expected.get(executor_id):
-            event = complete.get(executor_id)
-            if event is not None and not event.triggered:
-                event.succeed()
-
-    def cook(executor_id: int):
-        yield complete[executor_id]
-        if spec.compression != "none":
-            executor = sc.executor_by_id(executor_id)
-            obj = merged_objects[executor_id]
-            value = executor.object_manager.get(obj)
-            comp, cost, stats = _topk_compress(spec, executor, value)
-            if cost > 0:
-                yield env.timeout(cost)
-            executor.object_manager.replace(obj, comp)
-            if bus.active:
-                bus.emit(ResidualNorm(
-                    time=sc.now, executor_id=executor_id, job_id=obj[0],
-                    error_feedback=spec.error_feedback,
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=span_id, **stats))
-        streamable[executor_id].succeed()
-
-    def fetch_value(executor_id: int) -> Any:
-        return sc.executor_by_id(executor_id).object_manager.get(
-            merged_objects[executor_id])
-
-    comm.pipeline = [
-        (streamable[slot.executor_id],
-         lambda eid=slot.executor_id: fetch_value(eid))
-        for slot in comm.ranked]
-
-    began = sc.now
-    job_id = sc.new_job_id()
-    job_proc = env.process(
-        sc.dag.run_reduced_job(rdd, partial_func, merge_op, job_id,
-                               on_merged=on_merged),
-        name="reduced-job")
-    cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
-             for executor_id in planned_order]
-    collective = env.process(
-        comm.reduce_scatter_gather([None] * len(slots), split_op,
-                                   reduce_op, concat_op,
-                                   algorithm="pipelined_ring"),
-        name="pipelined-collective")
-
-    with sc.stopwatch.span("agg.compute"):
-        holders = env.run(until=job_proc)
-
-    deviated = (
-        [executor_id for executor_id, _ in holders] != planned_order
-        or any(counts.get(executor_id) != expected.get(executor_id)
-               for executor_id in expected)
-        or any(merged_objects.get(executor_id) != obj
-               for executor_id, obj in holders))
-    if deviated:  # pragma: no cover - impossible without faults
-        comm.abort("pipelined placement deviated from the plan")
-        try:
-            env.run(until=collective)
-        except BaseException:
-            pass
-        for proc in cooks:
-            if proc.is_alive:
-                proc.interrupt("pipelined placement deviated")
-        if any(event.triggered for event in streamable.values()):
-            raise RuntimeError(
-                "pipelined ring streamed an aggregator from a deviated "
-                "placement; cannot fall back safely")
-        with sc.stopwatch.span("agg.reduce"):
-            result = _reduce_once(sc, holders, spec.parallelism,
-                                  spec.topology_aware, split_op, reduce_op,
-                                  concat_op, algorithm="pipelined_ring",
-                                  chunk_bytes=spec.chunk_bytes,
-                                  span_id=span_id)
-            _finish_collective(sc, None, cid, "pipelined_ring",
-                               spec.parallelism, 0.0, began)
-        return result
-
-    if bus.active:
-        value_bytes = _holder_value_bytes(sc, holders)
-        num = len(slots) * spec.parallelism
-        bus.emit(CollectiveChosen(
-            time=sc.now, collective_id=cid, algorithm="pipelined_ring",
-            parallelism=spec.parallelism, source="spec", ranks=len(slots),
-            hosts=len({s.hostname for s in slots}),
-            value_bytes=value_bytes, segment_bytes=value_bytes / num,
-            span_id=span_id, parent_span_id=bus.tracer.current_parent))
-
-    with sc.stopwatch.span("agg.reduce"):
-        result = env.run(until=collective)
-        # began is the *job* start: the completed-span covers the whole
-        # overlapped window, which is the number the overlap benchmark
-        # compares against compute + reduce of the phased paths.
-        _finish_collective(sc, None, cid, "pipelined_ring",
-                           spec.parallelism, 0.0, began)
-    SpawnRDD.cleanup_holders(sc, holders)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# The fault-tolerant pipelined path
-# ---------------------------------------------------------------------------
 
 #: downgrade reasons already warned about (warn once per process, per
 #: reason; the event stream records every occurrence)
@@ -889,201 +514,425 @@ def _emit_downgrade(sc: Any, controller: Any, reason: str, detail: str,
             RuntimeWarning, stacklevel=2)
 
 
-def _ft_pipelined_aggregate(sc: Any, rdd: RDD, partial_func: Callable,
-                            merge_op: MergeOp, spec: AggregationSpec,
-                            zero: Any, seq_op: SeqOp, split_op: SplitOp,
-                            reduce_op: ReduceOp, concat_op: ConcatOp,
-                            recovery: Any, controller: Any) -> Any:
-    """The overlapped path under a recovery policy (the resilient stream).
+# ---------------------------------------------------------------------------
+# One aggregation: the phased and streamed schedules
+# ---------------------------------------------------------------------------
 
-    One streamed attempt runs exactly like :func:`_pipelined_aggregate`,
-    but armored: ring recvs carry the policy's failure-detection timeout,
-    every planned executor gets a death listener that aborts the
-    collective the instant it dies, and a :class:`ChunkLedger` records
-    each chunk column the moment all ranks finish reducing it.
+class _AggregationRun:
+    """The state of one ``split_aggregate`` call, shared by both schedules.
 
-    If the stream completes, the result (and, unfaulted, the timing) is
-    identical to the fault-free pipelined path. If anything breaks —
-    an executor crash (mid-stage or mid-ring), a link fault surfacing as
-    a recv timeout, or a placement deviation — the stream is torn down
-    and the aggregation downgrades to :func:`_ft_reduce`'s
-    detect/recompute/rebuild loop, keeping ``algorithm="pipelined_ring"``
-    and the ledger: a rebuild over the *same* holders and epoch (link
-    faults) replays acknowledged columns from their recorded reductions
-    and re-runs only the unacknowledged slices, while a crash re-keys
-    the ledger (new holder set or recompute epoch) and replays from the
-    epoch-fenced lineage recompute. Either way the result is
-    byte-identical to the phased ring over the same data.
+    ``recovery`` is the policy in effect (None is the degenerate
+    no-recovery policy); ``controller`` is the context's armed fault
+    controller, which records every recovery action.
     """
-    env = sc.env
-    bus = sc.event_bus
-    partitions = list(range(rdd.num_partitions()))
-    plan = _plan_placement(sc, rdd, partitions)
-    expected: dict = {}
-    planned_order: List[int] = []
-    for executor_id in plan:
-        if executor_id not in expected:
-            planned_order.append(executor_id)
-            expected[executor_id] = 0
-        expected[executor_id] += 1
 
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
-    if bus.active:
-        bus.tracer.open_collective(cid)
-    span_id = bus.tracer.collective_span(cid)
+    def __init__(self, rdd: RDD, spec: AggregationSpec, zero: Any,
+                 seq_op: SeqOp, split_op: SplitOp, reduce_op: ReduceOp,
+                 concat_op: ConcatOp, merge_op: MergeOp, recovery: Any):
+        self.sc = rdd.sc
+        self.rdd = rdd
+        self.spec = spec
+        self.zero = zero
+        self.seq_op = seq_op
+        self.split_op = split_op
+        self.reduce_op = reduce_op
+        self.concat_op = concat_op
+        self.merge_op = merge_op
+        self.recovery = recovery
+        self.controller = self.sc.faults
 
-    slot_by_id = {slot.executor_id: slot for slot in sc.cluster.executors}
-    slots = [slot_by_id[executor_id] for executor_id in planned_order]
-    comm = ScalableCommunicator(sc.cluster, parallelism=spec.parallelism,
-                                topology_aware=spec.topology_aware,
-                                slots=slots, bus=bus, faults=controller,
-                                recv_timeout=recovery.recv_timeout)
-    comm.set_span(span_id)
-    comm.chunk_bytes = spec.chunk_bytes
-    # Epoch 0 of the chunk ledger: completions recorded by the stream are
-    # salvageable by any rebuild over the same holders and epoch.
-    ledger = ChunkLedger()
-    ledger.bind((tuple(planned_order), spec.parallelism, 0),
-                size=len(planned_order))
-    comm.ledger = ledger
+    def partial_func(self, _idx: int, data: list, ctx: TaskContext) -> Any:
+        """Stage 1's task body: fold one partition into a fresh zero."""
+        acc = fresh_zero(self.zero)
+        # Opt-in whole-partition fold (e.g. the batched CSR gradient
+        # kernel): the seqOp object declares it and stays responsible for
+        # charging the same virtual time the per-element loop would.
+        seq_op = self.seq_op
+        folder = getattr(seq_op, "fold_partition", None)
+        if folder is not None:
+            return folder(acc, data, ctx)
+        for x in data:
+            ctx.charge(cost_of(seq_op, acc, x) + ELEMENT_OVERHEAD)
+            acc = seq_op(acc, x)
+        return acc
 
-    aborted = {"failed": False, "reason": ""}
-
-    def abort_stream(reason: str) -> None:
-        if not aborted["failed"]:
-            aborted["failed"] = True
-            aborted["reason"] = reason
-            comm.abort(reason)
-
-    def on_death(executor: Any) -> None:
-        abort_stream(f"executor {executor.executor_id} died mid-stream")
-
-    watched = []
-    for executor_id in planned_order:
-        executor = sc.executor_by_id(executor_id)
-        executor.add_death_listener(on_death)
-        watched.append(executor)
-
-    counts: dict = {executor_id: 0 for executor_id in expected}
-    merged_objects: dict = {}
-    complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
-                for executor_id in planned_order}
-    streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
-                  for executor_id in planned_order}
-
-    def on_merged(executor_id: int, _partition: int,
-                  object_id: Tuple[int, int]) -> None:
-        if aborted["failed"]:
-            # Merges of a resubmitted stage must not restart the stream.
-            return
-        merged_objects[executor_id] = object_id
-        counts[executor_id] = counts.get(executor_id, 0) + 1
-        if counts[executor_id] == expected.get(executor_id):
-            event = complete.get(executor_id)
-            if event is not None and not event.triggered:
-                event.succeed()
-
-    def cook(executor_id: int):
-        # No compression leg here: compression="topk" is rejected with a
-        # recovery policy at the entry of split_aggregate.
-        yield complete[executor_id]
-        streamable[executor_id].succeed()
-
-    def fetch_value(executor_id: int) -> Any:
-        return sc.executor_by_id(executor_id).object_manager.get(
-            merged_objects[executor_id])
-
-    comm.pipeline = [
-        (streamable[slot.executor_id],
-         lambda eid=slot.executor_id: fetch_value(eid))
-        for slot in comm.ranked]
-
-    began = sc.now
-    job_id = sc.new_job_id()
-    job_proc = env.process(
-        sc.dag.run_reduced_job(rdd, partial_func, merge_op, job_id,
-                               detail=True, on_merged=on_merged),
-        name="reduced-job")
-    cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
-             for executor_id in planned_order]
-    collective = env.process(
-        comm.reduce_scatter_gather([None] * len(slots), split_op,
-                                   reduce_op, concat_op,
-                                   algorithm="pipelined_ring"),
-        name="pipelined-collective")
-
-    def teardown(reason: str) -> None:
-        abort_stream(reason)
-        try:
-            env.run(until=collective)
-        except BaseException:  # noqa: BLE001 - the abort is the point
-            pass
-        for proc in cooks:
-            if proc.is_alive:
-                proc.interrupt(reason)
-        for executor in watched:
-            executor.remove_death_listener(on_death)
-
-    with sc.stopwatch.span("agg.compute"):
-        try:
-            holders, contributions = env.run(until=job_proc)
-        except BaseException:
-            # Stage budget exhausted or driver teardown: recovery below
-            # this level already failed; don't leave a zombie stream.
-            teardown("reduced-result stage failed")
-            raise
-
-    deviated = (
-        not aborted["failed"]
-        and ([executor_id for executor_id, _ in holders] != planned_order
-             or any(counts.get(executor_id) != expected.get(executor_id)
-                    for executor_id in expected)
-             or any(merged_objects.get(executor_id) != obj
-                    for executor_id, obj in holders)))
-
-    if not aborted["failed"] and not deviated:
-        if bus.active:
-            value_bytes = _holder_value_bytes(sc, holders)
-            num = len(slots) * spec.parallelism
-            bus.emit(CollectiveChosen(
-                time=sc.now, collective_id=cid, algorithm="pipelined_ring",
-                parallelism=spec.parallelism, source="spec",
-                ranks=len(slots), hosts=len({s.hostname for s in slots}),
-                value_bytes=value_bytes, segment_bytes=value_bytes / num,
-                span_id=span_id, parent_span_id=bus.tracer.current_parent))
+    # ------------------------------------------------------------- phased
+    def phased(self) -> Any:
+        """Fold every partition, then reduce the holders. Top-k
+        compression sparsifies every holder first, so the tuner and the
+        ring both see the compressed wire sizes."""
+        sc, spec = self.sc, self.spec
+        with sc.stopwatch.span("agg.compute"):
+            holders, contributions = sc.run_reduced_job(
+                self.rdd, self.partial_func, self.merge_op, detail=True)
         with sc.stopwatch.span("agg.reduce"):
+            if spec.compression != "none":
+                _compress_holders(sc, spec, holders)
+            decision = _choose_collective(sc, spec, holders)
+            cid, algorithm, chosen_p, predicted, model = decision
+            began = sc.now
+            result = self.reduce(holders, contributions, chosen_p, algorithm,
+                                 sc.event_bus.tracer.collective_span(cid))
+            _finish_collective(sc, model, cid, algorithm, chosen_p,
+                               predicted, began)
+        return result
+
+    def reduce(self, holders: Holders, contributions: dict,
+               parallelism: int, algorithm: str, span_id: int,
+               ledger: Optional[ChunkLedger] = None) -> Any:
+        """The phased reduce loop: detect / recompute / rebuild.
+
+        Under the degenerate no-recovery policy this is one
+        :func:`_reduce_once` attempt whose exception propagates unchanged.
+        The loop is algorithm-agnostic: every collective surfaces a lost
+        peer as :class:`~repro.rdd.executor.ExecutorLost` (recv deadline)
+        or an abort interrupt (death listener), and rebuilds keep the
+        chosen ``algorithm`` — a shrunken ring is re-priced only on the
+        next aggregation.
+
+        ``ledger`` (streamed downgrades only) carries per-chunk completion
+        records across attempts, re-bound before each pass to the exact
+        holder set, parallelism and aggregation epoch: a retry over
+        unchanged holders (link faults) salvages every acknowledged column,
+        while a crash re-keys it, because recomputed aggregators invalidate
+        every prior partial reduction.
+        """
+        sc, spec, recovery = self.sc, self.spec, self.recovery
+
+        def attempt(holders: Holders) -> Any:
+            return _reduce_once(
+                sc, holders, parallelism, spec.topology_aware, self.split_op,
+                self.reduce_op, self.concat_op, algorithm=algorithm,
+                recovery=recovery, chunk_bytes=spec.chunk_bytes,
+                ledger=ledger, span_id=span_id)
+
+        if recovery is None:
+            return attempt(holders)
+
+        controller = self.controller
+        agg_job = holders[0][1][0]  # stage 1's job id, for recovery events
+        attempts = 0
+        epoch = 0
+        first_detect: Optional[float] = None
+        #: span of the recovery epoch (first detection -> recovered); every
+        #: recovery action and recompute job parents to it. Opened lazily
+        #: so a fault-free run allocates nothing.
+        epoch_span = -1
+
+        def emit(action: str, **kw: Any) -> None:
+            nonlocal epoch_span
+            if sc.event_bus.active:
+                tracer = sc.event_bus.tracer
+                if epoch_span < 0:
+                    epoch_span = tracer.new_span()
+                if action == "recovered":
+                    # The epoch span closes on its own id, like JobEnd does.
+                    kw.setdefault("span_id", epoch_span)
+                    kw.setdefault("parent_span_id", span_id)
+                else:
+                    kw.setdefault("span_id", tracer.new_span())
+                    kw.setdefault("parent_span_id", epoch_span)
+            event = RecoveryAction(time=sc.now, action=action,
+                                   job_id=agg_job, **kw)
+            if controller is not None:
+                controller.actions.append(event)
+            if sc.event_bus.active:
+                sc.event_bus.emit(event)
+
+        while attempts < recovery.max_ring_attempts:
+            lost = [(eid, obj) for eid, obj in holders
+                    if not sc.executor_by_id(eid).alive]
+            if lost:
+                if first_detect is None:
+                    first_detect = sc.now
+                live = [(eid, obj) for eid, obj in holders
+                        if sc.executor_by_id(eid).alive]
+                lost_parts = sorted(
+                    p for eid, _ in lost for p in contributions.get(eid, ()))
+                for eid, _ in lost:
+                    emit("partial_recompute", executor_id=eid,
+                         attempt=attempts, ranks=len(live),
+                         detail=f"partitions {lost_parts} via lineage")
+                    contributions.pop(eid, None)
+                # Lineage recompute: re-run the reduced-result stage over
+                # only the dead holders' partitions. The scheduler places
+                # them on surviving executors (and survives further losses
+                # itself).
+                tracer = sc.event_bus.tracer
+                tracer.push_parent(epoch_span)
+                try:
+                    new_holders, new_contribs = sc.run_reduced_job(
+                        self.rdd, self.partial_func, self.merge_op,
+                        partitions=lost_parts, detail=True)
+                finally:
+                    tracer.pop_parent()
+                # Fence the surviving aggregators at a fresh epoch so any
+                # zombie merge from the original stage raises
+                # StaleMergeError, then absorb the recomputed partials.
+                epoch += 1
+                live_by_id = dict(live)
+                for eid, obj in live:
+                    sc.executor_by_id(eid).object_manager.fence(obj, epoch)
+                for eid, temp_obj in new_holders:
+                    manager = sc.executor_by_id(eid).object_manager
+                    temp_value = manager.get(temp_obj)
+                    if eid in live_by_id:
+                        # The recomputed partial lands on an executor that
+                        # already holds an original: merge the two in
+                        # memory.
+                        proc = sc.env.process(manager.absorb(
+                            live_by_id[eid], epoch, temp_value,
+                            self.merge_op))
+                        sc.env.run(until=proc)
+                        manager.clear(temp_obj)
+                        contributions[eid] = sorted(
+                            contributions.get(eid, []) + new_contribs[eid])
+                    else:
+                        # A fresh holder joins the ring with the recomputed
+                        # partial as its aggregator.
+                        manager.fence(temp_obj, epoch)
+                        live.append((eid, temp_obj))
+                        live_by_id[eid] = temp_obj
+                        contributions[eid] = sorted(new_contribs[eid])
+                holders = live
+                # Re-check before ringing: a holder may have died during
+                # the recompute job itself.
+                continue
+            if ledger is not None:
+                ledger.bind((tuple(eid for eid, _ in holders), parallelism,
+                             epoch), size=len(holders))
             try:
-                result = env.run(until=collective)
+                result = attempt(holders)
             except (JobFailed, SimulationError):
-                teardown("collective failed")
+                # Retry budgets below this loop are already exhausted (or
+                # the kernel itself broke): rebuilding cannot help.
                 raise
             except Exception as exc:
-                # Recv timeout, dropped link, or a late crash: downgrade.
-                aborted["reason"] = aborted["reason"] or str(exc)
-                aborted["failed"] = True
-            else:
-                _finish_collective(sc, None, cid, "pipelined_ring",
-                                   spec.parallelism, 0.0, began)
-                for executor in watched:
-                    executor.remove_death_listener(on_death)
-                SpawnRDD.cleanup_holders(sc, holders)
-                return result
+                # ExecutorLost (recv timeout or pinned-task failure),
+                # Interrupt (a death listener aborted the collective),
+                # StaleMergeError — all mean this ring attempt is dead;
+                # rebuild over survivors.
+                attempts += 1
+                emit("ring_abort", attempt=attempts, ranks=len(holders),
+                     detail=str(exc))
+                if first_detect is None:
+                    first_detect = sc.now
+                if attempts < recovery.max_ring_attempts:
+                    emit("ring_rebuild", attempt=attempts,
+                         ranks=len(holders))
+                continue
+            if first_detect is not None:
+                emit("recovered", seconds=sc.now - first_detect,
+                     attempt=attempts, ranks=len(holders))
+            return result
 
-    # ---- stream lost: downgrade to the phased recovery loop ---------------
-    reason = "placement_deviation" if deviated else "streamed_abort"
-    detail = (aborted["reason"]
-              or "reduced-result stage landed off the planned executors")
-    teardown(detail)
-    _emit_downgrade(sc, controller, reason, detail, job_id, span_id)
-    with sc.stopwatch.span("agg.reduce"):
-        result = _ft_reduce(sc, rdd, partial_func, holders, contributions,
-                            zero, seq_op, merge_op, spec.parallelism,
-                            spec.topology_aware, split_op, reduce_op,
-                            concat_op, recovery, controller,
-                            algorithm="pipelined_ring",
-                            chunk_bytes=spec.chunk_bytes, ledger=ledger,
-                            span_id=span_id)
-        _finish_collective(sc, None, cid, "pipelined_ring",
-                           spec.parallelism, 0.0, began)
-    return result
+        # ---- ring budget exhausted: fall back to the tree ---------------
+        emit("tree_fallback", site="tree", attempt=attempts)
+        SpawnRDD.cleanup_holders(sc, holders)
+        if not recovery.tree_fallback:
+            raise RuntimeError(
+                f"split aggregation failed {attempts} ring attempts and "
+                f"tree fallback is disabled")
+        tracer = sc.event_bus.tracer
+        tracer.push_parent(epoch_span)
+        try:
+            agg = tree_aggregate(self.rdd, self.zero, self.seq_op,
+                                 self.merge_op, depth=recovery.tree_depth,
+                                 imm=True)
+        finally:
+            tracer.pop_parent()
+        result = self.concat_op([self.split_op(agg, i, parallelism)
+                                 for i in range(parallelism)])
+        if first_detect is not None:
+            emit("recovered", site="tree", seconds=sc.now - first_detect,
+                 attempt=attempts)
+        return result
+
+    # ----------------------------------------------------------- streamed
+    def streamed(self) -> Any:
+        """Overlap the reduced-result stage with the ring reduce-scatter.
+
+        The ring is built up front from the predicted placement; each
+        rank waits for its executor's last partition merge (the
+        ``on_merged`` hook) and a *cook* step (top-k compression, when
+        asked for), so early finishers stream chunk columns while
+        stragglers still fold. Merge order is fixed by topology, not by
+        readiness timing — the result is bit-identical to the phased ring.
+
+        Under a recovery policy the stream is armored: recv deadlines,
+        death listeners on every planned executor, and a
+        :class:`ChunkLedger` recording each chunk column once all ranks
+        reduced it. A crash, a link fault or a placement deviation tears
+        the stream down and downgrades to :meth:`reduce`'s loop with
+        ``algorithm="pipelined_ring"`` and the ledger, so a rebuild over
+        the same holders and epoch replays acknowledged columns. Under the
+        degenerate policy only a placement deviation (impossible without
+        faults) loses the stream; the phased schedule then reruns the
+        reduction, provided nothing streamed yet.
+        """
+        sc, spec, recovery = self.sc, self.spec, self.recovery
+        env = sc.env
+        bus = sc.event_bus
+        plan = _plan_placement(sc, self.rdd,
+                               range(self.rdd.num_partitions()))
+        #: planned executor -> partition count, in first-placement order
+        expected: dict = {}
+        for executor_id in plan:
+            expected[executor_id] = expected.get(executor_id, 0) + 1
+        planned_order = list(expected)
+
+        cid = sc.new_collective_id()
+        if bus.active:
+            bus.tracer.open_collective(cid)
+        span_id = bus.tracer.collective_span(cid)
+
+        comm = _communicator(sc, planned_order, spec.parallelism,
+                             spec.topology_aware, recovery, spec.chunk_bytes,
+                             span_id)
+        ledger = None
+        if recovery is not None:
+            # Epoch 0 of the chunk ledger: completions recorded by the
+            # stream are salvageable by any rebuild over the same holders
+            # and epoch.
+            ledger = ChunkLedger()
+            ledger.bind((tuple(planned_order), spec.parallelism, 0),
+                        size=len(planned_order))
+            comm.ledger = ledger
+
+        #: why the stream was lost; None while it is healthy
+        lost: Optional[str] = None
+
+        def abort_stream(reason: str) -> None:
+            nonlocal lost
+            if lost is None:
+                lost = reason
+                comm.abort(reason)
+
+        def on_death(executor: Any) -> None:
+            abort_stream(f"executor {executor.executor_id} died mid-stream")
+
+        counts: dict = {executor_id: 0 for executor_id in expected}
+        merged_objects: dict = {}
+        complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
+                    for executor_id in planned_order}
+        streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
+                      for executor_id in planned_order}
+
+        def on_merged(executor_id: int, _partition: int,
+                      object_id: Tuple[int, int]) -> None:
+            if lost is not None:
+                # Merges of a resubmitted stage must not restart the stream.
+                return
+            merged_objects[executor_id] = object_id
+            counts[executor_id] = counts.get(executor_id, 0) + 1
+            if counts[executor_id] == expected.get(executor_id):
+                event = complete.get(executor_id)
+                if event is not None and not event.triggered:
+                    event.succeed()
+
+        def cook(executor_id: int):
+            yield complete[executor_id]
+            if spec.compression != "none":
+                yield from _compress_holder(sc, spec, executor_id,
+                                            merged_objects[executor_id],
+                                            span_id)
+            streamable[executor_id].succeed()
+
+        comm.pipeline = [
+            (streamable[slot.executor_id],
+             lambda eid=slot.executor_id: sc.executor_by_id(eid)
+             .object_manager.get(merged_objects[eid]))
+            for slot in comm.ranked]
+
+        with _death_watch(sc, planned_order,
+                          on_death if recovery is not None else None):
+            began = sc.now
+            job_id = sc.new_job_id()
+            job_proc = env.process(
+                sc.dag.run_reduced_job(self.rdd, self.partial_func,
+                                       self.merge_op, job_id, detail=True,
+                                       on_merged=on_merged),
+                name="reduced-job")
+            cooks = [env.process(cook(executor_id),
+                                 name=f"cook:{executor_id}")
+                     for executor_id in planned_order]
+            collective = env.process(
+                comm.reduce_scatter_gather([None] * len(planned_order),
+                                           self.split_op, self.reduce_op,
+                                           self.concat_op,
+                                           algorithm="pipelined_ring"),
+                name="pipelined-collective")
+
+            def teardown(reason: str) -> None:
+                abort_stream(reason)
+                try:
+                    env.run(until=collective)
+                except BaseException:  # noqa: BLE001 - the abort is the point
+                    pass
+                for proc in cooks:
+                    if proc.is_alive:
+                        proc.interrupt(reason)
+
+            with sc.stopwatch.span("agg.compute"):
+                try:
+                    holders, contributions = env.run(until=job_proc)
+                except BaseException:
+                    # Stage budget exhausted or driver teardown: recovery
+                    # below this level already failed; don't leave a
+                    # zombie stream.
+                    teardown("reduced-result stage failed")
+                    raise
+
+            deviated = lost is None and (
+                [executor_id for executor_id, _ in holders] != planned_order
+                or any(counts.get(executor_id) != expected.get(executor_id)
+                       for executor_id in expected)
+                or any(merged_objects.get(executor_id) != obj
+                       for executor_id, obj in holders))
+
+            if lost is None and not deviated:
+                if bus.active:
+                    _emit_chosen(sc, cid, holders, "pipelined_ring",
+                                 spec.parallelism, span_id)
+                with sc.stopwatch.span("agg.reduce"):
+                    try:
+                        result = env.run(until=collective)
+                    except Exception as exc:
+                        if recovery is None or isinstance(
+                                exc, (JobFailed, SimulationError)):
+                            teardown("collective failed")
+                            raise
+                        # Recv timeout, dropped link, or a late crash:
+                        # downgrade.
+                        lost = str(exc)
+                    else:
+                        # began is the *job* start: the completed-span
+                        # covers the whole overlapped window, which is the
+                        # number the overlap benchmark compares against
+                        # compute + reduce of the phased schedule.
+                        _finish_collective(sc, None, cid, "pipelined_ring",
+                                           spec.parallelism, 0.0, began)
+                        SpawnRDD.cleanup_holders(sc, holders)
+                        return result
+
+            # ---- stream lost: tear it down, rerun phased ------------------
+            reason = "placement_deviation" if deviated else "streamed_abort"
+            detail = lost or ("reduced-result stage landed off the planned "
+                              "executors")
+            teardown(detail)
+
+        if recovery is None:
+            if any(event.triggered
+                   for event in streamable.values()):  # pragma: no cover
+                raise RuntimeError(
+                    "pipelined ring streamed an aggregator from a deviated "
+                    "placement; cannot fall back safely")
+        else:
+            _emit_downgrade(sc, self.controller, reason, detail, job_id,
+                            span_id)
+        with sc.stopwatch.span("agg.reduce"):
+            result = self.reduce(holders, contributions, spec.parallelism,
+                                 "pipelined_ring", span_id, ledger)
+            _finish_collective(sc, None, cid, "pipelined_ring",
+                               spec.parallelism, 0.0, began)
+        return result

@@ -79,6 +79,8 @@ class StageInfo:
     attempt: int
     submitted_at: float
     finished_at: Optional[float] = field(default=None)
+    #: the job that ran the stage (-1 when unknown, e.g. a loaded history)
+    job_id: int = -1
 
     @property
     def finished(self) -> bool:
@@ -650,7 +652,7 @@ class DAGScheduler:
                     num_tasks: int, attempt: int, job_id: int) -> StageInfo:
         info = StageInfo(stage_id=stage_id, kind=kind, rdd_name=rdd.name,
                          num_tasks=num_tasks, attempt=attempt,
-                         submitted_at=self.sc.env.now)
+                         submitted_at=self.sc.env.now, job_id=job_id)
         self.stage_log.append(info)
         bus = self.sc.event_bus
         if bus.active:

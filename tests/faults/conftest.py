@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core import AggregationSpec
 from repro.faults import FaultController, FaultPlan, RecoveryPolicy
+from repro.ml import aggregators as flat
 from repro.rdd import SparkerContext
 from repro.serde import SizedPayload
 
@@ -25,6 +26,23 @@ PAYLOAD_ARGS = dict(
     reduce_op=lambda a, b: a.merge(b),
     concat_op=SizedPayload.concat,
 )
+
+
+def _fold_flat(agg, x):
+    np.add(agg.payload, x, out=agg.payload)
+    return agg
+
+
+#: the same callbacks over FlatAggregator holders, the type the opt-in
+#: top-k tier sparsifies
+FLAT_ARGS = dict(
+    seq_op=_fold_flat,
+    split_op=flat.split_op,
+    reduce_op=flat.reduce_op,
+    concat_op=flat.concat_op,
+    merge_op=lambda a, b: a.merge(b),
+)
+
 
 N_ITEMS = 24
 N_PARTITIONS = 8
@@ -59,27 +77,39 @@ def run_split_agg(plan: Optional[FaultPlan] = None,
                   num_nodes: int = 4, parallelism: int = 4,
                   sc: Optional[SparkerContext] = None,
                   collective: str = "ring",
-                  chunk_bytes: Optional[float] = None) -> AggRun:
+                  chunk_bytes: Optional[float] = None,
+                  topk_k: Optional[int] = None) -> AggRun:
     """Aggregate the fixed workload, optionally under an armed plan.
 
     ``collective``/``chunk_bytes`` select the reduce-scatter strategy
     (``"pipelined_ring"`` exercises the resilient streamed path).
+    ``topk_k`` runs the opt-in top-k tier instead: the same items fold
+    into FlatAggregators and each holder sends its ``topk_k`` largest
+    coordinates; ``result`` is then the aggregator's whole buffer.
     """
     if sc is None:
         sc = make_context(num_nodes)
     controller = None
     if plan is not None:
         controller = FaultController(sc, plan, recovery).arm()
-    data = [SizedPayload(np.full(WIDTH, float(i))) for i in range(N_ITEMS)]
-    rdd = sc.parallelize(data, N_PARTITIONS)
+    items = [np.full(WIDTH, float(i)) for i in range(N_ITEMS)]
     spec_kwargs = dict(collective=collective, parallelism=parallelism,
                        recovery=None if plan is not None else recovery)
     if chunk_bytes is not None:
         spec_kwargs["chunk_bytes"] = chunk_bytes
-    result = rdd.split_aggregate(
-        lambda: SizedPayload(np.zeros(WIDTH)),
-        spec=AggregationSpec(**spec_kwargs), **PAYLOAD_ARGS)
-    return AggRun(result=result.data, now=sc.now,
+    if topk_k is None:
+        rdd = sc.parallelize([SizedPayload(x) for x in items], N_PARTITIONS)
+        result = rdd.split_aggregate(
+            lambda: SizedPayload(np.zeros(WIDTH)),
+            spec=AggregationSpec(**spec_kwargs), **PAYLOAD_ARGS).data
+    else:
+        rdd = sc.parallelize(items, N_PARTITIONS)
+        result = rdd.split_aggregate(
+            lambda: flat.FlatAggregator(WIDTH),
+            spec=AggregationSpec(compression="topk", topk_k=topk_k,
+                                 **spec_kwargs),
+            **FLAT_ARGS).to_dense().buf
+    return AggRun(result=result, now=sc.now,
                   injected=list(controller.injected) if controller else [],
                   actions=list(controller.actions) if controller else [])
 
