@@ -4,24 +4,25 @@ Measures what the *host* pays to run the standard LR scale sweep (LR-A and
 LR-C on BIC clusters of 2/4/8 nodes, tree and split aggregation) — the
 denominator of every future experiment this repo runs:
 
-* end-to-end wall-clock per sweep, serially and at host-pool sizes 1/2/8,
+* end-to-end wall-clock per sweep,
 * simulator throughput (kernel events/sec) and task throughput (tasks/sec),
-* **parity checksums**: SHA-256 of every trained weight vector plus the
-  exact final virtual times, asserted byte-equal across all pool sizes
-  (the bit-identity contract of DESIGN.md §9),
+* per-run checksums: SHA-256 of every trained weight vector plus the exact
+  final virtual time, kernel event count and task count,
 * a host-time attribution (sim-core / user-compute / serde / other) from
   :func:`repro.bench.profile.profile_host` for one representative config,
-* ``host_cpus`` — pool speedups are only meaningful relative to it: on a
-  single-CPU host the pool cannot beat serial and the numbers say so.
+* ``host_cpus`` — the wall-clock numbers are only comparable on a host
+  with the same CPU count.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/host_perf.py           # full sweep
     PYTHONPATH=src python benchmarks/host_perf.py --smoke   # CI gate
 
-``--smoke`` runs a reduced sweep and exits non-zero on a parity mismatch
-between pool sizes or when simulator throughput falls below 80% of the
-committed ``BENCH_host_perf.json`` baseline (the >20%-regression CI gate).
+``--smoke`` runs a reduced sweep and exits non-zero when its simulated
+work (kernel events and tasks run, both deterministic) differs from the
+committed ``BENCH_host_perf.json`` smoke reference, or when simulator
+throughput falls below 80% of that reference (the >20%-regression CI
+gate).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import AggregationSpec
 from repro.bench.profile import profile_host
 from repro.bench.workloads import run_workload
 from repro.cluster import ClusterConfig
@@ -58,11 +58,6 @@ SMOKE_SWEEP = [
     ("LR-A", 4, "tree", 2),
 ]
 
-FULL_POOLS = (1, 2, 8)
-#: the smoke gate checks the full pool matrix too — the parity checksums
-#: must stay byte-identical across every pool size on the vectorized paths
-SMOKE_POOLS = (1, 2, 8)
-
 #: tolerated events/sec regression against the committed baseline
 REGRESSION_SLACK = 0.20
 
@@ -75,14 +70,13 @@ def _checksum(weights) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def run_sweep(sweep, pool=None) -> dict:
+def run_sweep(sweep) -> dict:
     """Run every sweep config; return wall-clock and per-run rows."""
     rows = []
     began = time.perf_counter()
     for name, nodes, agg, iters in sweep:
         result = run_workload(name, ClusterConfig.bic(nodes),
-                              aggregation=agg, iterations=iters,
-                              spec=AggregationSpec(host_pool=pool))
+                              aggregation=agg, iterations=iters)
         rows.append({
             "workload": name,
             "nodes": nodes,
@@ -107,29 +101,26 @@ def run_sweep(sweep, pool=None) -> dict:
     }
 
 
-def best_of(n: int, sweep, pool=None) -> dict:
+def best_of(n: int, sweep) -> dict:
     """Best-of-``n`` sweep by events/sec (de-noises sub-second runs)."""
-    runs = [run_sweep(sweep, pool=pool) for _ in range(n)]
+    runs = [run_sweep(sweep) for _ in range(n)]
     return max(runs, key=lambda run: run["events_per_sec"])
 
 
-def check_parity(serial: dict, pooled: dict) -> list:
-    """Mismatch descriptions between a pooled sweep and the serial one."""
-    problems = []
-    for ref, row in zip(serial["rows"], pooled["rows"]):
-        tag = f"{row['workload']}/bic{row['nodes']}/{row['aggregation']}"
-        if row["end_to_end"] != ref["end_to_end"]:
-            problems.append(
-                f"{tag}: virtual time {row['end_to_end']!r}"
-                f" != serial {ref['end_to_end']!r}")
-        if row["weights_sha256"] != ref["weights_sha256"]:
-            problems.append(f"{tag}: weight checksum diverged")
-    return problems
+def check_work(run: dict, reference: dict) -> list:
+    """Mismatches between a sweep's simulated work and the reference's.
+
+    Kernel events and tasks run are deterministic functions of the
+    sweep, so any difference is a behaviour change, not host noise.
+    """
+    return [f"{key}: {run[key]} != reference {reference[key]}"
+            for key in ("sim_events", "tasks_run")
+            if run[key] != reference[key]]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Host wall-clock / throughput / parity benchmark")
+        description="Host wall-clock / throughput benchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="reduced sweep + CI gate against the committed"
                              " baseline; writes nothing")
@@ -140,46 +131,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
-    pools = SMOKE_POOLS if args.smoke else FULL_POOLS
 
-    serial = (best_of(3, sweep, pool=None) if args.smoke
-              else run_sweep(sweep, pool=None))
+    serial = best_of(3, sweep) if args.smoke else run_sweep(sweep)
     print(f"serial: {serial['wall_seconds']:.2f}s wall,"
           f" {serial['events_per_sec']:,.0f} events/s,"
           f" {serial['tasks_per_sec']:,.0f} tasks/s")
 
-    pool_results = {}
-    parity_problems = []
-    for size in pools:
-        pooled = run_sweep(sweep, pool=size)
-        pooled["speedup_vs_serial"] = (
-            serial["wall_seconds"] / pooled["wall_seconds"]
-            if pooled["wall_seconds"] > 0 else 0.0)
-        problems = check_parity(serial, pooled)
-        pooled["parity_ok"] = not problems
-        parity_problems.extend(f"pool={size}: {p}" for p in problems)
-        pool_results[str(size)] = pooled
-        print(f"pool={size}: {pooled['wall_seconds']:.2f}s wall,"
-              f" {pooled['speedup_vs_serial']:.2f}x vs serial,"
-              f" parity {'OK' if not problems else 'FAILED'}")
-
-    for problem in parity_problems:
-        print("PARITY MISMATCH:", problem, file=sys.stderr)
-
     if args.smoke:
-        ok = not parity_problems
+        ok = True
         try:
             baseline = json.loads(args.baseline.read_text())
         except (OSError, ValueError):
             print(f"no readable baseline at {args.baseline};"
-                  " skipping throughput gate")
+                  " skipping work and throughput gates")
             baseline = None
         if baseline is not None:
-            # Gate against the baseline's *smoke-sweep* throughput: the
+            # Gate against the baseline's *smoke-sweep* reference: the
             # full sweep amortizes per-run setup far better, so its
             # events/sec is not comparable to a smoke run's.
-            reference = baseline.get("smoke_reference",
-                                     baseline["serial"])
+            reference = baseline["smoke_reference"]
+            problems = check_work(serial, reference)
+            for problem in problems:
+                print("WORK MISMATCH:", problem, file=sys.stderr)
+            print(f"work gate: {serial['sim_events']} events,"
+                  f" {serial['tasks_run']} tasks"
+                  f" {'OK' if not problems else 'FAILED'}")
+            ok = not problems
             floor = ((1.0 - REGRESSION_SLACK)
                      * reference["events_per_sec"])
             actual = serial["events_per_sec"]
@@ -200,7 +177,7 @@ def main(argv=None) -> int:
 
     # The smoke sweep's own throughput, so the CI gate compares like
     # with like (a smoke run cannot amortize setup like the full sweep).
-    smoke_reference = best_of(3, SMOKE_SWEEP, pool=None)
+    smoke_reference = best_of(3, SMOKE_SWEEP)
     smoke_reference.pop("rows")
     print(f"smoke reference: {smoke_reference['events_per_sec']:,.0f}"
           " events/s")
@@ -214,13 +191,11 @@ def main(argv=None) -> int:
         ],
         "serial": serial,
         "smoke_reference": smoke_reference,
-        "pools": pool_results,
-        "parity_ok": not parity_problems,
         "host_time_attribution": breakdown.as_dict(),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0 if not parity_problems else 1
+    return 0
 
 
 if __name__ == "__main__":

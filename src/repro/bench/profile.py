@@ -186,17 +186,12 @@ def _main(argv: List[str] | None = None) -> int:
     parser.add_argument("--agg", default="tree",
                         choices=["tree", "split", "ring"])
     parser.add_argument("--iters", type=int, default=3)
-    parser.add_argument("--pool", type=int, default=0,
-                        help="host pool size (0/1 = inline)")
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
 
-    from ..core.spec import AggregationSpec
-
     result, breakdown = profile_host(
         run_workload, args.workload, ClusterConfig.bic(args.nodes),
-        aggregation=args.agg, iterations=args.iters,
-        spec=AggregationSpec(host_pool=args.pool or None), top_n=args.top)
+        aggregation=args.agg, iterations=args.iters, top_n=args.top)
     print(result)
     print(breakdown)
     sim_core = breakdown.buckets.get("sim_core", 0.0)

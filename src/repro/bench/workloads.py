@@ -6,10 +6,13 @@ it ran out of memory on both of the paper's configurations).
 
 :func:`run_workload` trains one workload on one cluster configuration with
 one aggregation backend and returns the end-to-end time plus the 4-way
-decomposition. Iteration counts are configurable: the paper runs up to 40
-(BIC) / 15 (AWS) iterations; simulated runs default to fewer since
-per-iteration behaviour is what every figure reduces to (speedups are
-iteration-count invariant as long as both sides use the same count).
+decomposition; it is ``SparkerSession(config).run(...)`` under its
+historical name, with every reduction knob on one
+:class:`~repro.core.AggregationSpec`. Iteration counts are configurable:
+the paper runs up to 40 (BIC) / 15 (AWS) iterations; simulated runs
+default to fewer since per-iteration behaviour is what every figure
+reduces to (speedups are iteration-count invariant as long as both sides
+use the same count).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cluster import ClusterConfig
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..data.registry import DatasetSpec, dataset
 from .harness import TimeBreakdown
 
@@ -88,37 +91,23 @@ def run_workload(name: str, config: ClusterConfig,
                  aggregation: str = "tree", iterations: int = 3,
                  spec: Optional[AggregationSpec] = None,
                  partitions: Optional[int] = None,
-                 listener=None, *,
-                 parallelism: Optional[int] = None,
-                 sparse_aggregation: Optional[bool] = None,
-                 sparse_policy=None, batched: Optional[bool] = None,
-                 host_pool=None) -> WorkloadResult:
+                 listener=None) -> WorkloadResult:
     """Train one workload end-to-end on a fresh simulated cluster.
 
     Data generation and cache materialization happen before the measured
     window (the paper measures model training, with datasets preloaded
     MEMORY_ONLY). ``spec`` carries every reduction knob — collective
     algorithm (or ``"auto"`` for the cost-model tuner), parallelism, the
-    density-adaptive sparse payload, the per-partition CSR ``batched``
-    kernel and the host-side compute pool; the trailing keywords are
-    deprecated shims mapping onto it. ``listener``, when given, is
-    subscribed to the context's event bus for the training window.
+    density-adaptive sparse payload and the per-partition CSR ``batched``
+    kernel. ``listener``, when given, is subscribed to the context's
+    event bus for the training window.
 
-    This is now a thin wrapper over
+    This is a plain pass-through to
     :meth:`repro.service.SparkerSession.run` (the session is the
-    canonical entry point, sync and async); the deprecated-keyword shims
-    stay here so warnings keep naming ``run_workload``.
+    canonical entry point, sync and async).
     """
     from ..service.session import SparkerSession
 
-    if isinstance(spec, int):
-        # the pre-spec signature's positional parallelism
-        warn_deprecated_kwarg("parallelism", "run_workload", stacklevel=3)
-        spec = AggregationSpec(parallelism=spec)
-    spec = spec_with_legacy(
-        spec, "run_workload",
-        parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-        sparse_policy=sparse_policy, batched=batched, host_pool=host_pool)
     return SparkerSession(config).run(
         name, aggregation=aggregation, iterations=iterations, spec=spec,
         partitions=partitions, listener=listener)

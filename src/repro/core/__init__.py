@@ -21,10 +21,7 @@ from .spawn_rdd import SpawnRDD
 from .spec import (
     COLLECTIVES,
     AggregationSpec,
-    resolve_host_pool,
     resolve_sparse_policy,
-    spec_with_legacy,
-    warn_deprecated_kwarg,
 )
 
 __all__ = [
@@ -34,9 +31,6 @@ __all__ = [
     "AggregationSpec",
     "COLLECTIVES",
     "resolve_sparse_policy",
-    "resolve_host_pool",
-    "spec_with_legacy",
-    "warn_deprecated_kwarg",
     "derive_split_ops",
     "DerivedOps",
     "AutoSegment",

@@ -58,7 +58,6 @@ unchanged — an unfaulted run schedules exactly the seed's events.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +71,7 @@ from ..serde import sim_sizeof
 from ..sim import SimulationError
 from .aggregation import fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from .spec import AggregationSpec
 
 __all__ = ["split_aggregate"]
 
@@ -89,10 +88,7 @@ Holders = List[Tuple[int, Tuple[int, int]]]
 def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
                     reduce_op: ReduceOp, concat_op: ConcatOp,
                     spec: Optional[AggregationSpec] = None, *,
-                    merge_op: Optional[MergeOp] = None,
-                    parallelism: Optional[int] = None,
-                    topology_aware: Optional[bool] = None,
-                    recovery: Any = None) -> Any:
+                    merge_op: Optional[MergeOp] = None) -> Any:
     """Sparker's ``splitAggregate`` (blocking driver call).
 
     Returns the fully reduced value of type ``V`` (Figure 6: the action's
@@ -103,22 +99,12 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
     (``"ring"`` | ``"hd"`` | ``"hierarchical"``, or ``"auto"`` to let the
     cost-model tuner pick algorithm and parallelism from the holders'
     actual wire sizes), the channel parallelism, topology awareness and
-    the recovery policy. The ``parallelism`` / ``topology_aware`` /
-    ``recovery`` keywords (and an integer passed for ``spec``, the old
-    positional parallelism) are deprecated shims mapping onto the spec.
+    the recovery policy.
 
     With no recovery policy in the spec one is taken from the context's
     armed fault controller (``sc.faults``); when neither exists the
     aggregation runs under the degenerate no-recovery policy.
     """
-    if isinstance(spec, int):
-        # the pre-spec signature's 7th positional argument
-        warn_deprecated_kwarg("parallelism", "split_aggregate", stacklevel=3)
-        spec = AggregationSpec(parallelism=spec)
-    spec = spec_with_legacy(spec, "split_aggregate", stacklevel=4,
-                            parallelism=parallelism,
-                            topology_aware=topology_aware,
-                            recovery=recovery)
     spec = AggregationSpec.from_env(spec)
     sc = rdd.sc
 
@@ -482,11 +468,6 @@ def _plan_placement(sc: Any, rdd: RDD, partitions: Sequence[int]) -> List[int]:
     return plan
 
 
-#: downgrade reasons already warned about (warn once per process, per
-#: reason; the event stream records every occurrence)
-_downgrade_warned: set = set()
-
-
 def _emit_downgrade(sc: Any, controller: Any, reason: str, detail: str,
                     job_id: int, span_id: int) -> None:
     """Record a pipelined→phased downgrade: obs event plus one warning."""
@@ -504,14 +485,12 @@ def _emit_downgrade(sc: Any, controller: Any, reason: str, detail: str,
         controller.actions.append(action)
     if bus.active:
         bus.emit(action)
-    if reason not in _downgrade_warned:
-        _downgrade_warned.add(reason)
-        warnings.warn(
-            f"pipelined_ring downgraded to the phased fault-tolerant path "
-            f"({reason}): {detail}. The result is unaffected; only the "
-            f"compute/communication overlap is lost. Further downgrades "
-            f"of this kind warn only on the event stream.",
-            RuntimeWarning, stacklevel=2)
+    sc.warn_once(
+        f"pipelined_downgrade:{reason}",
+        f"pipelined_ring downgraded to the phased fault-tolerant path "
+        f"({reason}): {detail}. The result is unaffected; only the "
+        f"compute/communication overlap is lost. Further downgrades "
+        f"of this kind on this context warn only on the event stream.")
 
 
 # ---------------------------------------------------------------------------

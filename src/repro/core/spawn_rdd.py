@@ -29,9 +29,6 @@ __all__ = ["SpawnRDD"]
 class SpawnRDD(RDD):
     """One pinned task per entry of ``(executor_id, closure)``."""
 
-    #: closures read executor-resident IMM state — never host-precomputable
-    host_compute_pure = False
-
     def __init__(self, sc: "SparkerContext",
                  tasks: Sequence[Tuple[int, Callable[[TaskContext], Any]]]):
         if not tasks:

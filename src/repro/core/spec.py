@@ -1,12 +1,11 @@
 """The unified aggregation configuration: :class:`AggregationSpec`.
 
-The engine's reduction machinery historically grew one keyword argument
-at a time — ``parallelism``, ``topology_aware``, ``sparse_aggregation``,
-``sparse_policy``, ``batched``, ``host_pool``, ``recovery`` — spread over
-``splitAggregate``, the trainers and the workload harness, each reading
-its own defaults (and two of them reading the sparse-policy default
-*independently*, so a single override could produce mixed policies
-mid-job). This module collapses all of that into one frozen value:
+Every reduction setting of ``splitAggregate``, the trainers and the
+workload harness is a field of one frozen value, passed as
+``spec=AggregationSpec(...)``; there is no other way to set one. One
+value also means one set of defaults: the sparse-policy default, for
+instance, is read in exactly one place, so a single override cannot
+produce mixed policies mid-job. The module provides:
 
 * :class:`AggregationSpec` — every reduction knob in one immutable
   dataclass with a :meth:`~AggregationSpec.replace` builder and dict
@@ -17,15 +16,12 @@ mid-job). This module collapses all of that into one frozen value:
   see :mod:`repro.comm.collectives`) or ``"auto"`` to let the cost-model
   tuner (:mod:`repro.comm.cost`) pick algorithm + parallelism per call,
 * **env-var resolution in one place** — every ``SPARKER_*`` override the
-  engine honours is read here (:meth:`AggregationSpec.from_env`,
-  :func:`resolve_host_pool`) and nowhere else,
+  engine honours is read by :meth:`AggregationSpec.from_env` and nowhere
+  else,
 * :func:`resolve_sparse_policy` — the single site that may fall back to
   :data:`~repro.serde.DEFAULT_SPARSE_POLICY`, so the policy used by the
   seqOp accumulator, ``derive_split_ops`` and the wire-format switch is
-  one object per job,
-* :func:`spec_with_legacy` — the deprecation shim used by every old
-  kwarg entry point (emits one ``DeprecationWarning`` per legacy kwarg
-  and folds the value onto the spec).
+  one object per job.
 
 The defaults are **seed-identical**: ``collective="ring"``,
 ``parallelism=4``, topology-aware, dense, no recovery — a spec-free call
@@ -37,7 +33,6 @@ changes the segment grid and therefore the floating-point association.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace as _dataclass_replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -49,9 +44,6 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "AggregationSpec",
     "resolve_sparse_policy",
-    "resolve_host_pool",
-    "spec_with_legacy",
-    "warn_deprecated_kwarg",
 ]
 
 #: valid values of :attr:`AggregationSpec.collective`
@@ -70,8 +62,6 @@ ENV_PARALLELISM = "SPARKER_PARALLELISM"
 ENV_TOPOLOGY_AWARE = "SPARKER_TOPOLOGY_AWARE"
 ENV_SPARSE_AGG = "SPARKER_SPARSE_AGG"
 ENV_BATCHED = "SPARKER_BATCHED"
-ENV_HOST_POOL = "SPARKER_HOST_POOL"
-ENV_HOST_POOL_MODE = "SPARKER_HOST_POOL_MODE"
 ENV_CHUNK_BYTES = "SPARKER_CHUNK_BYTES"
 # deliberately no env var for ``compression``: the approximate tier changes
 # results and must be requested explicitly in code, never ambiently.
@@ -98,28 +88,6 @@ def resolve_sparse_policy(sparse_aggregation: bool,
     if sparse_aggregation:
         return DEFAULT_SPARSE_POLICY
     return None
-
-
-def resolve_host_pool(value: Any) -> Any:
-    """Normalize a host-pool request to a ``HostPool`` or ``None``.
-
-    ``None`` reads the ``SPARKER_HOST_POOL`` / ``SPARKER_HOST_POOL_MODE``
-    environment overrides (worker count; unset or <= 1 disables); an int
-    is a worker count; anything else is assumed to already be a
-    :class:`~repro.rdd.hostpool.HostPool` and passed through.
-    """
-    from ..rdd.hostpool import HostPool
-    if value is None:
-        env_size = int(os.environ.get(ENV_HOST_POOL, "0") or "0")
-        env_mode = os.environ.get(ENV_HOST_POOL_MODE, "fork")
-        # mode "inline" forces a (serial) pool even without a size, so the
-        # pool code path itself can be exercised deterministically
-        if env_size > 1 or env_mode == "inline":
-            return HostPool(env_size, mode=env_mode)
-        return None
-    if isinstance(value, int):
-        return HostPool(value) if value > 1 else None
-    return value
 
 
 @dataclass(frozen=True)
@@ -158,8 +126,6 @@ class AggregationSpec:
     recovery:
         Optional :class:`~repro.faults.RecoveryPolicy` arming the
         fault-tolerant reduce path.
-    host_pool:
-        Host-side compute pool (int worker count or a ``HostPool``).
     chunk_bytes:
         Chunk ceiling (simulated bytes) for ``"pipelined_ring"``: each
         ring segment streams as ``ceil(segment_bytes / chunk_bytes)``
@@ -182,7 +148,6 @@ class AggregationSpec:
     sparse_policy: Optional[SparsePolicy] = None
     batched: bool = False
     recovery: Optional[Any] = None
-    host_pool: Optional[Any] = None
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
     compression: str = "none"
     topk_ratio: float = 0.01
@@ -259,9 +224,6 @@ class AggregationSpec:
         raw = env.get(ENV_BATCHED)
         if raw is not None:
             changes["batched"] = _env_bool(raw)
-        raw = env.get(ENV_HOST_POOL)
-        if raw:
-            changes["host_pool"] = int(raw)
         raw = env.get(ENV_CHUNK_BYTES)
         if raw:
             changes["chunk_bytes"] = float(raw)
@@ -278,11 +240,9 @@ class AggregationSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; :meth:`from_dict` round-trips it exactly.
 
-        ``host_pool`` serializes as its worker count (pool objects do not
-        round-trip); ``recovery`` and ``sparse_policy`` serialize field
-        by field.
+        ``recovery`` and ``sparse_policy`` serialize field by field.
         """
-        record: Dict[str, Any] = {
+        return {
             "collective": self.collective,
             "parallelism": self.parallelism,
             "parallelism_candidates": list(self.parallelism_candidates),
@@ -293,17 +253,12 @@ class AggregationSpec:
             "batched": self.batched,
             "recovery": (dict(self.recovery.__dict__)
                          if self.recovery is not None else None),
-            "host_pool": None,
             "chunk_bytes": self.chunk_bytes,
             "compression": self.compression,
             "topk_ratio": self.topk_ratio,
             "topk_k": self.topk_k,
             "error_feedback": self.error_feedback,
         }
-        if self.host_pool is not None:
-            size = getattr(self.host_pool, "size", self.host_pool)
-            record["host_pool"] = int(size)
-        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "AggregationSpec":
@@ -320,34 +275,3 @@ class AggregationSpec:
         if candidates is not None:
             kwargs["parallelism_candidates"] = tuple(candidates)
         return cls(**kwargs)
-
-
-# ------------------------------------------------------- deprecation shims
-def warn_deprecated_kwarg(name: str, site: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation warning for one legacy kwarg."""
-    warnings.warn(
-        f"{site}: the {name!r} keyword is deprecated; pass "
-        f"spec=AggregationSpec({name}=...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-
-
-def spec_with_legacy(spec: Optional[AggregationSpec], site: str,
-                     stacklevel: int = 4,
-                     **legacy: Any) -> AggregationSpec:
-    """Fold non-None legacy kwargs onto ``spec``, warning for each.
-
-    Every old-kwarg entry point funnels through here: legacy values that
-    were actually passed (non-None) override the spec field of the same
-    name after one :class:`DeprecationWarning` per kwarg. With no legacy
-    kwargs this is a pass-through (and allocates nothing new when a spec
-    was given).
-    """
-    if spec is None:
-        spec = AggregationSpec()
-    changes: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        if value is None:
-            continue
-        warn_deprecated_kwarg(name, site, stacklevel)
-        changes[name] = value
-    return spec.replace(**changes) if changes else spec

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.rdd import RDD
 from .gradient import HingeGradient, LogisticGradient
 from .linalg import LabeledPoint, SparseVector
@@ -78,11 +78,7 @@ class _SGDTrainer:
               size_scale: float = 1.0, sample_scale: float = 1.0,
               flop_time: float = JVM_FLOP_TIME,
               initial_weights: Optional[np.ndarray] = None,
-              convergence_tol: float = 0.0, *,
-              parallelism: Optional[int] = None,
-              sparse_aggregation: Optional[bool] = None,
-              sparse_policy=None,
-              batched: Optional[bool] = None) -> LinearModel:
+              convergence_tol: float = 0.0) -> LinearModel:
         """Train on an RDD of :class:`LabeledPoint`.
 
         ``aggregation`` selects the backend: ``"tree"`` (vanilla Spark),
@@ -90,21 +86,10 @@ class _SGDTrainer:
         configuration switch. ``spec`` carries every reduction knob
         (collective algorithm or ``"auto"``, parallelism, the
         density-adaptive sparse payload, the per-partition CSR ``batched``
-        kernel); the ``parallelism`` / ``sparse_aggregation`` /
-        ``sparse_policy`` / ``batched`` keywords are deprecated shims
-        mapping onto it.
+        kernel).
         """
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1: {num_features}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", f"{cls.__name__}.train",
-                                  stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
-        spec = spec_with_legacy(
-            spec, f"{cls.__name__}.train",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
         updater = (SquaredL2Updater() if reg_param > 0
                    else cls.default_updater())
         optimizer = GradientDescent(

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
@@ -69,20 +69,13 @@ class StandardScaler:
     def __init__(self, aggregation: str = "tree",
                  spec: Optional[AggregationSpec] = None,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 flop_time: float = JVM_FLOP_TIME, *,
-                 parallelism: Optional[int] = None):
+                 flop_time: float = JVM_FLOP_TIME):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
                 f"got {aggregation!r}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", "StandardScaler",
-                                  stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.aggregation = aggregation
-        self.spec = spec_with_legacy(spec, "StandardScaler",
-                                     parallelism=parallelism)
+        self.spec = spec if spec is not None else AggregationSpec()
         self.size_scale = size_scale
         self.sample_scale = sample_scale
         self.flop_time = flop_time

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from ..serde import SparsePolicy
@@ -88,11 +88,7 @@ class GradientDescent:
                  spec: Optional[AggregationSpec] = None,
                  convergence_tol: float = 0.0,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 flop_time: float = JVM_FLOP_TIME, *,
-                 parallelism: Optional[int] = None,
-                 sparse_aggregation: Optional[bool] = None,
-                 sparse_policy: Optional[SparsePolicy] = None,
-                 batched: Optional[bool] = None):
+                 flop_time: float = JVM_FLOP_TIME):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -103,11 +99,6 @@ class GradientDescent:
             raise ValueError(
                 f"mini_batch_fraction in (0, 1] required: "
                 f"{mini_batch_fraction}")
-        if isinstance(spec, int):
-            # the pre-spec signature's 9th positional argument
-            warn_deprecated_kwarg("parallelism", "GradientDescent",
-                                  stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.gradient = gradient
         self.updater = updater
         self.step_size = step_size
@@ -116,10 +107,7 @@ class GradientDescent:
         self.mini_batch_fraction = mini_batch_fraction
         self.aggregation = aggregation
         self.depth = depth
-        self.spec = spec_with_legacy(
-            spec, "GradientDescent",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
+        self.spec = spec if spec is not None else AggregationSpec()
         self.convergence_tol = convergence_tol
         self.size_scale = size_scale
         self.sample_scale = sample_scale

@@ -4,13 +4,17 @@ Owns the simulated cluster, the executors, the schedulers and trackers, and
 exposes the blocking user-facing API (``parallelize`` + actions). Each
 action submits a job process to the simulation and runs the event loop
 until it completes, so user code reads sequentially while the cluster
-simulation runs underneath — exactly the Spark driver experience.
+simulation runs underneath — exactly the Spark driver experience. Task
+bodies run inline in this process, and warn-once state lives on the
+context (:meth:`SparkerContext.warn_once`), not in module globals, so it
+never leaks between contexts.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
+import warnings
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from ..cluster import Cluster, ClusterConfig
 from ..obs import EventBus, PhaseSpan
@@ -20,7 +24,6 @@ from .accumulators import Accumulator, AccumulatorRegistry
 from .broadcast import Broadcast
 from .costing import ELEMENT_OVERHEAD, cost_of
 from .executor import Executor
-from .hostpool import HostPool
 from .rdd import RDD, ParallelCollectionRDD
 from .scheduler import DAGScheduler
 from .shuffle import MapOutputTracker
@@ -76,18 +79,11 @@ class SparkerContext:
         defaults to the cluster's total executor cores (Spark's default).
     driver_colocated:
         Place the driver on node 0 instead of a dedicated host.
-    host_pool:
-        Parallel host-compute backend (:class:`~repro.rdd.hostpool.HostPool`
-        instance, or an int worker count). Defaults to the
-        ``SPARKER_HOST_POOL`` environment variable (worker count; unset or
-        ``<= 1`` leaves the serial engine untouched).
-        ``SPARKER_HOST_POOL_MODE`` selects ``fork`` (default) or ``inline``.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  default_parallelism: Optional[int] = None,
-                 driver_colocated: bool = False,
-                 host_pool: Optional[Union[int, HostPool]] = None):
+                 driver_colocated: bool = False):
         self.config = config or ClusterConfig.laptop()
         self.env = Environment()
         #: observability fan-out (see :mod:`repro.obs`); subscribe listeners
@@ -108,11 +104,6 @@ class SparkerContext:
             e.executor_id: e for e in self.executors
         }
         self.dag = DAGScheduler(self)
-        # env-var resolution lives in core.spec (the engine's single
-        # reader of SPARKER_* overrides)
-        from ..core.spec import resolve_host_pool
-        #: parallel host-compute backend; None = untouched serial engine
-        self.host_pool: Optional[HostPool] = resolve_host_pool(host_pool)
         self.driver_cpu = Resource(self.env, 1, name="driver")
         self.driver_getters = Resource(self.env,
                                        self.config.driver_result_threads,
@@ -134,6 +125,9 @@ class SparkerContext:
         self._next_collective_id = 1
         self._next_broadcast_id = 0
         self._stopped = False
+        #: keys already raised as a Python warning on this context (see
+        #: :meth:`warn_once`)
+        self._warned: Set[str] = set()
         #: armed fault controller (see :mod:`repro.faults`); None = no
         #: injection and no recovery machinery anywhere in the engine
         self.faults = None
@@ -187,6 +181,16 @@ class SparkerContext:
         broadcast_id = self._next_broadcast_id
         self._next_broadcast_id += 1
         return broadcast_id
+
+    def warn_once(self, key: str, message: str, stacklevel: int = 2) -> None:
+        """Raise ``message`` as a :class:`RuntimeWarning` the first time
+        ``key`` is seen on this context; later calls with the same key
+        are silent. ``stacklevel`` counts from the caller, as in
+        :func:`warnings.warn`."""
+        if key in self._warned:
+            return
+        self._warned.add(key)
+        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
 
     # ------------------------------------------------------------- job scopes
     @property
@@ -440,29 +444,14 @@ class SparkerContext:
     def stop(self) -> None:
         """Shut the context down (further jobs are rejected).
 
-        Idempotent and exception-safe: every teardown step runs even if
-        an earlier one raises, so a job that died mid-stage cannot leave
-        event-bus listeners or host-pool workers behind — the two leaks
-        that made long-lived multi-context processes (the job service,
-        test suites) accumulate state before this existed. The first
-        exception, if any, propagates after all steps have run.
+        Idempotent: closing the event bus detaches every listener, so a
+        job that died mid-stage cannot leave them behind in long-lived
+        multi-context processes (the job service, test suites).
         """
         if self._stopped:
             return
         self._stopped = True
-        failure: Optional[BaseException] = None
-        host_pool, self.host_pool = self.host_pool, None
-        if host_pool is not None:
-            try:
-                host_pool.close()
-            except BaseException as exc:  # noqa: BLE001 - collect and go on
-                failure = exc
-        try:
-            self.event_bus.close()
-        except BaseException as exc:  # noqa: BLE001
-            failure = failure or exc
-        if failure is not None:
-            raise failure
+        self.event_bus.close()
 
     def __enter__(self) -> "SparkerContext":
         return self

@@ -149,25 +149,12 @@ class Executor:
                                                        reduce_index, ctx)
                 stats["deserialize_time"] += deser
             stats["fetch_wait"] = env.now - fetch_began
-            memo = None
-            host_pool = self.sc.host_pool
-            if host_pool is not None:
-                memo = host_pool.claim(task, self)
             self._current_task_span = span
+            push_task_context(ctx)
             try:
-                if memo is not None:
-                    # Replay the precomputed body: same result, same charge,
-                    # same bucket writes, at the same point in the timeline.
-                    result = memo.replay(ctx, self)
-                else:
-                    if host_pool is not None and host_pool.enabled:
-                        host_pool.stats["inline"] += 1
-                    push_task_context(ctx)
-                    try:
-                        result = task.run(ctx)
-                    finally:
-                        pop_task_context()
+                result = task.run(ctx)
             finally:
+                pop_task_context()
                 self._current_task_span = -1
             charged = ctx.drain_charges()
             if self.compute_scale != 1.0:

@@ -126,12 +126,6 @@ class ShuffleDependency(Dependency):
 class RDD:
     """One distributed dataset in the lineage graph."""
 
-    #: Whether ``compute`` is a pure function of process memory, making it
-    #: eligible for host-pool precompute (see :mod:`repro.rdd.hostpool`).
-    #: Subclasses whose compute reads executor-resident simulated state
-    #: (e.g. SpawnRDD's IMM objects) must set this False.
-    host_compute_pure = True
-
     def __init__(self, sc: "SparkerContext", deps: Sequence[Dependency]):
         self.sc = sc
         self.deps: List[Dependency] = list(deps)
@@ -562,27 +556,19 @@ class RDD:
     def split_aggregate(self, zero: Any, seq_op: Callable, split_op: Callable,
                         reduce_op: Callable, concat_op: Callable,
                         spec: Any = None, *,
-                        merge_op: Optional[Callable] = None,
-                        parallelism: Optional[int] = None,
-                        topology_aware: Optional[bool] = None,
-                        recovery: Any = None) -> Any:
+                        merge_op: Optional[Callable] = None) -> Any:
         """Sparker's split aggregation (see :mod:`repro.core.sai`).
 
         ``spec`` is an :class:`~repro.core.AggregationSpec` carrying the
         collective algorithm (or ``"auto"`` for the cost-model tuner),
-        parallelism, topology awareness and recovery policy; the
-        ``parallelism`` / ``topology_aware`` / ``recovery`` keywords are
-        deprecated shims mapping onto it. ``merge_op`` is the
-        executor-local IMM merge over whole aggregators (defaults to a
-        whole-object ``splitOp``/``reduceOp`` round-trip, valid when
+        parallelism, topology awareness and recovery policy. ``merge_op``
+        is the executor-local IMM merge over whole aggregators (defaults
+        to a whole-object ``splitOp``/``reduceOp`` round-trip, valid when
         aggregator and segment types coincide).
         """
         from ..core.sai import split_aggregate
         return split_aggregate(self, zero, seq_op, split_op, reduce_op,
-                               concat_op, spec, merge_op=merge_op,
-                               parallelism=parallelism,
-                               topology_aware=topology_aware,
-                               recovery=recovery)
+                               concat_op, spec, merge_op=merge_op)
 
     def sum(self) -> Any:
         """Sum of all elements."""

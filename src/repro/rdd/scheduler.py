@@ -394,15 +394,6 @@ class DAGScheduler:
                 _wave.stage_id = task.stage_id
                 return task
 
-        host_pool = sc.host_pool
-        if host_pool is not None and host_pool.enabled:
-            # Batch the stage's provably-pure task bodies onto the host
-            # pool before spawning attempt loops; executors claim the
-            # memoized results instead of re-running the compute. Consumes
-            # no virtual time and misses fall back to inline execution.
-            host_pool.precompute(sc, rdd, partitions, factory,
-                                 self._pick_executor)
-
         loops = [
             env.process(
                 self._attempt_loop(rdd, partition, position, factory,

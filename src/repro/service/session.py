@@ -24,12 +24,11 @@ byte-identical in result.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Optional, Tuple
 
 from ..bench.harness import BreakdownRecorder
 from ..cluster import ClusterConfig
-from ..core.spec import AggregationSpec, spec_with_legacy
+from ..core.spec import AggregationSpec
 from ..data.registry import SURROGATE_LDA_TOPICS
 from ..ml.classification import LogisticRegressionWithSGD, SVMWithSGD
 from ..ml.lda import LDA
@@ -38,10 +37,6 @@ from .fair import DEFAULT_POOL, PoolConfig
 from .server import JobRecord, JobServer, JobStatus
 
 __all__ = ["SparkerSession", "JobHandle", "JobStatus"]
-
-#: emitted-once guard for the pipelined_ring service downgrade
-_warned_downgrades: set = set()
-
 
 def _resolve_workload(name: str):
     from ..bench.workloads import WORKLOADS
@@ -108,8 +103,12 @@ def _workload_result(name: str, config: ClusterConfig, aggregation: str,
     )
 
 
-def service_spec(spec: Optional[AggregationSpec]) -> AggregationSpec:
-    """Validate/adapt an aggregation spec for multi-tenant submission."""
+def service_spec(spec: Optional[AggregationSpec],
+                 sc: SparkerContext) -> AggregationSpec:
+    """Validate/adapt an aggregation spec for multi-tenant submission.
+
+    The ``pipelined_ring`` downgrade warns once per shared context ``sc``.
+    """
     if spec is None:
         spec = AggregationSpec()
     if spec.compression == "topk":
@@ -121,14 +120,13 @@ def service_spec(spec: Optional[AggregationSpec]) -> AggregationSpec:
             "service jobs cannot carry a recovery policy: failure "
             "handling on a shared cluster belongs to the server")
     if spec.collective == "pipelined_ring":
-        if "pipelined_ring" not in _warned_downgrades:
-            _warned_downgrades.add("pipelined_ring")
-            warnings.warn(
-                "service jobs downgrade collective='pipelined_ring' to "
-                "'ring': streaming aggregators in merge-arrival order is "
-                "incompatible with the deterministic ordered-merge mode "
-                "(results are identical; overlap is lost)",
-                RuntimeWarning, stacklevel=3)
+        sc.warn_once(
+            "service_downgrade:pipelined_ring",
+            "service jobs downgrade collective='pipelined_ring' to "
+            "'ring': streaming aggregators in merge-arrival order is "
+            "incompatible with the deterministic ordered-merge mode "
+            "(results are identical; overlap is lost)",
+            stacklevel=3)
         spec = spec.replace(collective="ring")
     return spec
 
@@ -244,27 +242,19 @@ class SparkerSession:
 
     def run(self, workload: str, aggregation: str = "tree",
             iterations: int = 3, spec: Optional[AggregationSpec] = None,
-            partitions: Optional[int] = None, listener=None, *,
-            parallelism: Optional[int] = None,
-            sparse_aggregation: Optional[bool] = None,
-            sparse_policy=None, batched: Optional[bool] = None,
-            host_pool=None):
+            partitions: Optional[int] = None, listener=None):
         """Train one workload synchronously on a fresh context.
 
         Exact historical ``run_workload`` semantics — data generation
         and cache materialization before the measured window, every
-        reduction knob on ``spec``, trailing keywords as deprecated
-        shims. Returns a :class:`~repro.bench.workloads.WorkloadResult`.
+        reduction knob on ``spec``. Returns a
+        :class:`~repro.bench.workloads.WorkloadResult`.
         """
         wl = _resolve_workload(workload)
         ds = wl.spec
-        spec = spec_with_legacy(
-            spec, "SparkerSession.run",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched,
-            host_pool=host_pool)
+        spec = spec if spec is not None else AggregationSpec()
         _check_lda_spec(wl, spec)
-        sc = SparkerContext(self.config, host_pool=spec.host_pool)
+        sc = SparkerContext(self.config)
         n_parts = partitions or sc.default_parallelism
 
         samples, _truth = ds.generate()
@@ -285,10 +275,8 @@ class SparkerSession:
     def submit(self, workload: str, spec: Optional[AggregationSpec] = None,
                *, pool: Optional[str] = None, tenant: str = "anonymous",
                aggregation: str = "tree", iterations: int = 3,
-               partitions: Optional[int] = None, listener=None,
-               parallelism: Optional[int] = None,
-               sparse_aggregation: Optional[bool] = None,
-               sparse_policy=None, batched: Optional[bool] = None) -> JobHandle:
+               partitions: Optional[int] = None,
+               listener=None) -> JobHandle:
         """Submit one workload to the shared multi-tenant service.
 
         Returns immediately with a :class:`JobHandle`; the job runs when
@@ -299,14 +287,11 @@ class SparkerSession:
         """
         wl = _resolve_workload(workload)
         ds = wl.spec
-        spec = spec_with_legacy(
-            spec, "SparkerSession.submit",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
+        spec = spec if spec is not None else AggregationSpec()
         _check_lda_spec(wl, spec)
-        spec = service_spec(spec)
         server = self.server
         sc = server.sc
+        spec = service_spec(spec, sc)
 
         def body():
             n_parts = partitions or sc.default_parallelism

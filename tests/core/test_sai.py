@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import MB, ClusterConfig
+from repro.core import AggregationSpec
 from repro.ml.aggregators import (
     FlatAggregator,
     concat_op,
@@ -34,7 +35,7 @@ def test_split_aggregate_exact_sum(sc):
     data = [SizedPayload(np.full(32, float(i))) for i in range(20)]
     rdd = sc.parallelize(data, 8)
     result = rdd.split_aggregate(
-        lambda: SizedPayload(np.zeros(32)), parallelism=2,
+        lambda: SizedPayload(np.zeros(32)), spec=AggregationSpec(parallelism=2),
         **payload_split_args())
     np.testing.assert_allclose(result.data,
                                np.sum([d.data for d in data], axis=0))
@@ -47,7 +48,7 @@ def test_split_matches_tree_aggregate(sc):
     zero = lambda: SizedPayload(np.zeros(16))  # noqa: E731
     tree = rdd.tree_aggregate(zero, lambda a, x: a.merge_inplace(x),
                               lambda a, b: a.merge(b))
-    split = rdd.split_aggregate(zero, parallelism=3,
+    split = rdd.split_aggregate(zero, spec=AggregationSpec(parallelism=3),
                                 **payload_split_args())
     np.testing.assert_allclose(tree.data, split.data)
 
@@ -55,7 +56,7 @@ def test_split_matches_tree_aggregate(sc):
 def test_split_aggregate_empty_rdd(sc):
     rdd = sc.parallelize([], 4)
     result = rdd.split_aggregate(
-        lambda: SizedPayload(np.zeros(8)), parallelism=2,
+        lambda: SizedPayload(np.zeros(8)), spec=AggregationSpec(parallelism=2),
         **payload_split_args())
     np.testing.assert_allclose(result.data, np.zeros(8))
 
@@ -64,13 +65,15 @@ def test_split_aggregate_parallelism_validation(sc):
     rdd = sc.parallelize([SizedPayload(np.zeros(4))], 1)
     with pytest.raises(ValueError):
         rdd.split_aggregate(lambda: SizedPayload(np.zeros(4)),
-                            parallelism=0, **payload_split_args())
+                            spec=AggregationSpec(parallelism=0),
+                            **payload_split_args())
 
 
 def test_split_aggregate_uses_reduced_result_and_spawn_stages(sc):
     data = [SizedPayload(np.ones(8)) for _ in range(16)]
     rdd = sc.parallelize(data, 8)
-    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)), parallelism=2,
+    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)),
+                        spec=AggregationSpec(parallelism=2),
                         **payload_split_args())
     kinds = [s.kind for s in sc.dag.stage_log]
     names = [s.rdd_name for s in sc.dag.stage_log]
@@ -96,7 +99,7 @@ def test_split_aggregate_distinct_u_and_v_types(sc):
 
     result = rdd.split_aggregate(
         lambda: FlatAggregator(10), seq, split_op, reduce_op, concat_op,
-        parallelism=2, merge_op=lambda a, b: a.merge(b))
+        spec=AggregationSpec(parallelism=2), merge_op=lambda a, b: a.merge(b))
     assert isinstance(result, FlatAggregator)
     np.testing.assert_allclose(result.payload, np.full(10, 3.0))
     assert result.weight_sum == 30
@@ -109,7 +112,7 @@ def test_split_aggregate_default_merge_for_u_equals_v(sc):
     data = [SizedPayload(np.full(8, 2.0)) for _ in range(10)]
     rdd = sc.parallelize(data, 5)
     result = rdd.split_aggregate(
-        lambda: SizedPayload(np.zeros(8)), parallelism=2,
+        lambda: SizedPayload(np.zeros(8)), spec=AggregationSpec(parallelism=2),
         **payload_split_args())
     np.testing.assert_allclose(result.data, np.full(8, 20.0))
 
@@ -117,7 +120,8 @@ def test_split_aggregate_default_merge_for_u_equals_v(sc):
 def test_split_aggregate_cleans_up_object_managers(sc):
     data = [SizedPayload(np.ones(8)) for _ in range(8)]
     rdd = sc.parallelize(data, 8)
-    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)), parallelism=2,
+    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)),
+                        spec=AggregationSpec(parallelism=2),
                         **payload_split_args())
     for executor in sc.executors:
         assert not executor.object_manager._entries
@@ -141,7 +145,8 @@ def test_split_scales_better_than_tree_for_large_aggregators():
             rdd.tree_aggregate(zero, lambda a, x: a.merge_inplace(x),
                                lambda a, b: a.merge(b))
         else:
-            rdd.split_aggregate(zero, parallelism=4, **payload_split_args())
+            rdd.split_aggregate(zero, spec=AggregationSpec(parallelism=4),
+                                **payload_split_args())
         return sc.now - t0
 
     tree_2, split_2 = run(2, "tree"), run(2, "split")
@@ -153,7 +158,8 @@ def test_split_scales_better_than_tree_for_large_aggregators():
 def test_stopwatch_split_phases(sc):
     data = [SizedPayload(np.ones(8)) for _ in range(8)]
     rdd = sc.parallelize(data, 8)
-    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)), parallelism=2,
+    rdd.split_aggregate(lambda: SizedPayload(np.zeros(8)),
+                        spec=AggregationSpec(parallelism=2),
                         **payload_split_args())
     assert sc.stopwatch.total("agg.compute") > 0
     assert sc.stopwatch.total("agg.reduce") > 0
@@ -172,7 +178,8 @@ def test_split_aggregate_property_exact(n_items, elems, slices, parallelism,
             for _ in range(n_items)]
     rdd = sc.parallelize(data, slices)
     result = rdd.split_aggregate(
-        lambda: SizedPayload(np.zeros(elems)), parallelism=parallelism,
+        lambda: SizedPayload(np.zeros(elems)),
+        spec=AggregationSpec(parallelism=parallelism),
         **payload_split_args())
     np.testing.assert_allclose(
         result.data, np.sum([d.data for d in data], axis=0))

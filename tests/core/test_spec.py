@@ -1,13 +1,11 @@
-"""AggregationSpec: validation, env resolution, serialization, shims.
+"""AggregationSpec: validation, env resolution, serialization.
 
 The spec is the engine's single configuration value; these tests pin the
-contract the rest of the PR leans on — seed-identical defaults, the
+contract the rest of the engine leans on — seed-identical defaults, the
 validation rules, exact dict round-trips (including nested policy /
 recovery objects), SPARKER_* env overrides resolved in one place, and
-the one-warning-per-legacy-kwarg shim discipline.
+``spec=`` as the only way to set a reduction setting.
 """
-
-import warnings
 
 import pytest
 
@@ -15,13 +13,9 @@ from repro.core.spec import (
     COLLECTIVES,
     DEFAULT_CHUNK_BYTES,
     AggregationSpec,
-    resolve_host_pool,
     resolve_sparse_policy,
-    spec_with_legacy,
-    warn_deprecated_kwarg,
 )
 from repro.faults import RecoveryPolicy
-from repro.rdd.hostpool import HostPool
 from repro.serde import DEFAULT_SPARSE_POLICY
 from repro.serde.cost import SparsePolicy
 
@@ -36,7 +30,6 @@ def test_defaults_are_seed_identical():
     assert spec.sparse_policy is None
     assert spec.batched is False
     assert spec.recovery is None
-    assert spec.host_pool is None
 
 
 def test_collective_is_validated():
@@ -106,34 +99,12 @@ def test_from_env_overrides_every_knob():
         "SPARKER_TOPOLOGY_AWARE": "off",
         "SPARKER_SPARSE_AGG": "1",
         "SPARKER_BATCHED": "yes",
-        "SPARKER_HOST_POOL": "3",
     })
     assert spec.collective == "auto"
     assert spec.parallelism == 8
     assert spec.topology_aware is False
     assert spec.sparse_aggregation is True
     assert spec.batched is True
-    assert spec.host_pool == 3
-
-
-def test_resolve_host_pool_env_and_values(monkeypatch):
-    monkeypatch.delenv("SPARKER_HOST_POOL", raising=False)
-    monkeypatch.delenv("SPARKER_HOST_POOL_MODE", raising=False)
-    assert resolve_host_pool(None) is None
-    assert resolve_host_pool(1) is None  # <=1 workers: no pool
-    pool = resolve_host_pool(2)
-    assert isinstance(pool, HostPool) and pool.size == 2
-    assert resolve_host_pool(pool) is pool  # pass-through
-
-    monkeypatch.setenv("SPARKER_HOST_POOL", "3")
-    env_pool = resolve_host_pool(None)
-    assert isinstance(env_pool, HostPool) and env_pool.size == 3
-
-    # mode "inline" forces the pool path even without a size
-    monkeypatch.setenv("SPARKER_HOST_POOL", "0")
-    monkeypatch.setenv("SPARKER_HOST_POOL_MODE", "inline")
-    inline = resolve_host_pool(None)
-    assert isinstance(inline, HostPool) and inline.mode == "inline"
 
 
 # ------------------------------------------------------------ serialization
@@ -162,53 +133,31 @@ def test_dict_round_trip_with_nested_objects():
         json.loads(json.dumps(record))) == back
 
 
-def test_host_pool_serializes_as_worker_count():
-    spec = AggregationSpec(host_pool=HostPool(2))
-    assert spec.to_dict()["host_pool"] == 2
-    assert AggregationSpec(host_pool=None).to_dict()["host_pool"] is None
-
-
 def test_from_dict_ignores_unknown_keys():
     record = AggregationSpec().to_dict()
     record["future_field"] = 42
     assert AggregationSpec.from_dict(record) == AggregationSpec()
 
 
-# --------------------------------------------------------------- shims
-def test_spec_with_legacy_passthrough_emits_nothing():
-    spec = AggregationSpec(parallelism=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert spec_with_legacy(spec, "site") is spec
-        assert spec_with_legacy(None, "site") == AggregationSpec()
+# -------------------------------------------------- spec is the only API
+@pytest.mark.parametrize("legacy", [
+    {"parallelism": 2}, {"topology_aware": False}, {"recovery": None},
+    {"sparse_aggregation": True}, {"sparse_policy": None},
+    {"batched": True},
+])
+def test_per_call_reduction_keywords_are_rejected(legacy):
+    """Every reduction setting travels on ``spec=AggregationSpec(...)``;
+    the pre-spec per-call keywords fail at the call."""
+    from repro.bench.workloads import run_workload
+    from repro.core import split_aggregate
+    from repro.ml import GradientDescent, LogisticGradient, SimpleUpdater
 
-
-def test_spec_with_legacy_warns_once_per_kwarg():
-    with pytest.warns(DeprecationWarning) as caught:
-        spec = spec_with_legacy(None, "Trainer.train",
-                                parallelism=8, batched=True,
-                                sparse_aggregation=None)
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 2  # None kwargs are silent
-    assert any("'parallelism'" in m and "Trainer.train" in m
-               for m in messages)
-    assert any("'batched'" in m for m in messages)
-    assert spec.parallelism == 8 and spec.batched is True
-
-
-def test_legacy_values_override_the_spec():
-    base = AggregationSpec(parallelism=2, batched=False)
-    with pytest.warns(DeprecationWarning):
-        spec = spec_with_legacy(base, "site", parallelism=16)
-    assert spec.parallelism == 16
-    assert spec.batched is False  # untouched fields survive
-
-
-def test_warn_deprecated_kwarg_names_the_replacement():
-    with pytest.warns(DeprecationWarning,
-                      match=r"spec=AggregationSpec\(parallelism=\.\.\.\)"):
-        warn_deprecated_kwarg("parallelism", "split_aggregate",
-                              stacklevel=1)
+    with pytest.raises(TypeError):
+        split_aggregate(None, 0.0, None, None, None, None, **legacy)
+    with pytest.raises(TypeError):
+        GradientDescent(LogisticGradient(), SimpleUpdater(), **legacy)
+    with pytest.raises(TypeError):
+        run_workload("LR-A", None, **legacy)
 
 
 # ------------------------------------------- pipelined ring + approx tier

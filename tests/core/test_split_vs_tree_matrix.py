@@ -7,11 +7,11 @@ drives that invariant through a hypothesis-generated matrix of shapes.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
+from repro.core import AggregationSpec
 from repro.ml.aggregators import FlatAggregator, concat_op, reduce_op, split_op
 from repro.rdd import SparkerContext
 from repro.serde import SizedPayload
@@ -43,7 +43,7 @@ def test_all_backends_identical_property(n_items, elems, slices, nodes,
                 zero, lambda acc, x: acc.merge_inplace(x),
                 lambda u, i, n: u.split(i, n),
                 lambda a, b: a.merge(b), SizedPayload.concat,
-                parallelism=parallelism)
+                spec=AggregationSpec(parallelism=parallelism))
         else:
             out = rdd.tree_aggregate(
                 zero, lambda acc, x: acc.merge_inplace(x),
@@ -90,7 +90,8 @@ def test_flat_aggregator_backends_property(n_points, dim, slices, seed):
         if backend == "split":
             agg = rdd.split_aggregate(
                 zero, seq, split_op, reduce_op, concat_op,
-                parallelism=2, merge_op=lambda a, b: a.merge(b))
+                spec=AggregationSpec(parallelism=2),
+                merge_op=lambda a, b: a.merge(b))
         else:
             agg = rdd.tree_aggregate(zero, seq, lambda a, b: a.merge(b))
         outputs[backend] = agg

@@ -14,8 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from .conftest import expected_sum, run_split_agg
-from repro.core import sai
+from .conftest import expected_sum, make_context, run_split_agg
 from repro.faults import (
     AtRingHop,
     AtStageBoundary,
@@ -28,6 +27,12 @@ from repro.faults import (
 from repro.obs import ChunkStream, CollectiveDowngraded, RecoveryAction
 
 RECOVERY = RecoveryPolicy(recv_timeout=0.25, max_ring_attempts=3)
+
+# Most tests here downgrade on purpose, each on a fresh context, so each
+# would raise the once-per-context warning; the test that pins the
+# warning itself records it with pytest.warns regardless of this filter.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:pipelined_ring downgraded:RuntimeWarning")
 
 PLAN_CLASSES = ["crash_before_ring", "crash_mid_ring", "message_drop",
                 "straggler"]
@@ -149,16 +154,26 @@ def test_downgrade_emits_event_and_action():
 
 
 def test_downgrade_warns_once_per_reason():
-    sai._downgrade_warned.clear()
+    """One warning per reason per context; the event stream records
+    every downgrade."""
+    sc = make_context(4)
+    with pytest.warns(RuntimeWarning, match="downgraded to the phased"):
+        run_split_agg(plan=plan_for("crash_mid_ring", 4), recovery=RECOVERY,
+                      collective="pipelined_ring", sc=sc)
+    sc.faults.disarm()
+    # executor 1 is already dead: crash another one mid-ring
+    second_crash = FaultPlan(faults=(ExecutorCrash(
+        executor_id=2, trigger=AtRingHop(1)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_split_agg(plan=second_crash, recovery=RECOVERY,
+                            collective="pipelined_ring", sc=sc)
+    assert run.action_names[0] == "streamed_abort"
+    np.testing.assert_array_equal(run.result, expected_sum())
+    # the warn-once state belongs to the context, not the process
     with pytest.warns(RuntimeWarning, match="downgraded to the phased"):
         run_split_agg(plan=plan_for("crash_mid_ring", 4), recovery=RECOVERY,
                       collective="pipelined_ring")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run = run_split_agg(plan=plan_for("crash_mid_ring", 4),
-                            recovery=RECOVERY,
-                            collective="pipelined_ring")
-    np.testing.assert_array_equal(run.result, expected_sum())
 
 
 # -------------------------------------------------------------- determinism

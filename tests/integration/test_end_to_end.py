@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench import BreakdownRecorder
 from repro.cluster import MB, ClusterConfig
+from repro.core import AggregationSpec
 from repro.data import lda_corpus, sparse_classification
 from repro.ml import LDA, LogisticRegressionWithSGD
 from repro.rdd import SparkerContext
@@ -112,7 +113,8 @@ def test_virtual_time_ordering_across_engines():
             rdd.split_aggregate(zero, lambda a, x: a.merge_inplace(x),
                                 lambda u, i, k: u.split(i, k),
                                 lambda a, b: a.merge(b),
-                                SizedPayload.concat, parallelism=4)
+                                SizedPayload.concat,
+                                spec=AggregationSpec(parallelism=4))
         else:
             rdd.tree_aggregate(zero, lambda a, x: a.merge_inplace(x),
                                lambda a, b: a.merge(b),

@@ -1,10 +1,8 @@
 """Determinism guarantees of the host-performance layer.
 
 Two seeded runs of the same workload must produce byte-identical trace
-streams and virtual times, and the host pool must be invisible to every
-simulated quantity: pool sizes 1/2/8 train byte-equal weights in exactly
-the same virtual time as the serial path (the DESIGN.md §9 bit-identity
-contract the host-perf benchmark gates on).
+streams and virtual times: the serial fast paths (DESIGN.md §9) may
+change only host wall-clock, never a simulated quantity.
 """
 
 import numpy as np
@@ -14,13 +12,13 @@ from repro.cluster import ClusterConfig
 from repro.obs import EventLogWriter
 
 
-def _train(tmp_path, tag, **kwargs):
+def _train(tmp_path, tag):
     log = tmp_path / f"{tag}.jsonl"
     writer = EventLogWriter(log)
     try:
         result = run_workload("LR-A", ClusterConfig.bic(2),
                               aggregation="tree", iterations=2,
-                              listener=writer, **kwargs)
+                              listener=writer)
     finally:
         writer.close()
     return result, log.read_bytes()
@@ -36,26 +34,3 @@ def test_two_runs_identical_stream_and_virtual_time(tmp_path):
             == np.asarray(second.final_weights).tobytes())
     assert first.sim_events == second.sim_events
 
-
-def test_pool_sizes_bit_identical():
-    serial = run_workload("LR-A", ClusterConfig.bic(2),
-                          aggregation="tree", iterations=2)
-    reference = np.asarray(serial.final_weights).tobytes()
-    for size in (1, 2, 8):
-        pooled = run_workload("LR-A", ClusterConfig.bic(2),
-                              aggregation="tree", iterations=2,
-                              host_pool=size)
-        assert pooled.end_to_end == serial.end_to_end, f"pool={size}"
-        assert pooled.final_loss == serial.final_loss, f"pool={size}"
-        assert (np.asarray(pooled.final_weights).tobytes()
-                == reference), f"pool={size}"
-
-
-def test_split_aggregation_pool_parity():
-    serial = run_workload("LR-C", ClusterConfig.bic(4),
-                          aggregation="split", iterations=2)
-    pooled = run_workload("LR-C", ClusterConfig.bic(4),
-                          aggregation="split", iterations=2, host_pool=2)
-    assert pooled.end_to_end == serial.end_to_end
-    assert (np.asarray(pooled.final_weights).tobytes()
-            == np.asarray(serial.final_weights).tobytes())

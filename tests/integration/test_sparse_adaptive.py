@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.core import AggregationSpec
 from repro.data import concentrated_classification, sparse_classification
 from repro.ml import LogisticRegressionWithSGD, SVMWithSGD
 from repro.obs import RecordingListener, analyze_events
@@ -29,8 +30,8 @@ def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
     began = sc.now
     model = LogisticRegressionWithSGD.train(
         rdd, dim, num_iterations=iterations, aggregation=aggregation,
-        parallelism=parallelism, sparse_aggregation=adaptive,
-        batched=batched)
+        spec=AggregationSpec(parallelism=parallelism,
+                             sparse_aggregation=adaptive, batched=batched))
     return model, sc.now - began
 
 
@@ -148,6 +149,6 @@ def test_svm_adaptive_bit_identical(sparse_points):
         rdd.count()
         models[adaptive] = SVMWithSGD.train(
             rdd, 2_000, num_iterations=3, aggregation="split",
-            sparse_aggregation=adaptive)
+            spec=AggregationSpec(sparse_aggregation=adaptive))
     np.testing.assert_array_equal(models[False].weights,
                                   models[True].weights)

@@ -1,4 +1,4 @@
-"""SparkerSession tests: run/submit parity, spec policy, legacy shims."""
+"""SparkerSession tests: run/submit parity, spec policy, lifecycle."""
 
 import warnings
 
@@ -8,8 +8,8 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core.spec import AggregationSpec
 from repro.bench.workloads import run_workload
+from repro.rdd import SparkerContext
 from repro.service import JobCancelled, PoolConfig, SparkerSession
-from repro.service import session as session_mod
 from repro.service.session import service_spec
 
 
@@ -54,36 +54,31 @@ def test_split_submission_matches_isolated_run():
 
 def test_service_spec_rejects_topk_compression():
     with pytest.raises(ValueError, match="error-feedback"):
-        service_spec(AggregationSpec(compression="topk"))
+        service_spec(AggregationSpec(compression="topk"),
+                     SparkerContext(CFG))
 
 
 def test_service_spec_rejects_recovery_policy():
     from repro.faults.plan import RecoveryPolicy
     with pytest.raises(ValueError, match="recovery"):
-        service_spec(AggregationSpec(recovery=RecoveryPolicy()))
+        service_spec(AggregationSpec(recovery=RecoveryPolicy()),
+                     SparkerContext(CFG))
 
 
 def test_service_spec_downgrades_pipelined_ring_warning_once():
-    session_mod._warned_downgrades.discard("pipelined_ring")
+    spec = AggregationSpec(collective="pipelined_ring")
+    sc = SparkerContext(CFG)
     with pytest.warns(RuntimeWarning, match="pipelined_ring"):
-        adapted = service_spec(AggregationSpec(collective="pipelined_ring"))
+        adapted = service_spec(spec, sc)
     assert adapted.collective == "ring"
-    # second downgrade is silent (warn-once)
+    # a second downgrade on the same context is silent (warn-once)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        again = service_spec(AggregationSpec(collective="pipelined_ring"))
+        again = service_spec(spec, sc)
     assert again.collective == "ring"
-
-
-def test_run_workload_legacy_kwargs_still_warn():
-    with pytest.warns(DeprecationWarning, match="run_workload"):
-        run_workload("LR-A", CFG, iterations=1, partitions=4,
-                     parallelism=2)
-    # the historical int-positional spec still works, with a warning
-    with pytest.warns(DeprecationWarning, match="run_workload"):
-        result = run_workload("LR-A", CFG, iterations=1, partitions=4,
-                              spec=2)
-    assert result.final_weights is not None
+    # the warn-once state belongs to the context, not the process
+    with pytest.warns(RuntimeWarning, match="pipelined_ring"):
+        service_spec(spec, SparkerContext(CFG))
 
 
 def test_handle_lifecycle_and_cancelled_queued_raises():

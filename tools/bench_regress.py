@@ -152,7 +152,7 @@ REGISTRY: Dict[str, BenchSpec] = {
     ),
     "host_perf": BenchSpec(
         metrics=(
-            Metric("pools.*.events_per_sec", "higher",
+            Metric("serial.events_per_sec", "higher",
                    abs_slack=0.0, same_config=False, rel_tol=0.25),
         ),
     ),
